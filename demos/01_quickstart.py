@@ -7,7 +7,7 @@ and verifies that short candidate list with a banded distance computation.
 The result is exactly what scanning the whole dictionary would return.
 """
 
-from fastss import Dictionary, FastSSIndex, IndexParams, naive_scan
+from fastss import Dictionary, FastSSIndex, IndexParams, NaiveScanner
 
 words = [
     "ship", "sheep", "shape", "sharp", "shore", "chore", "choir",
@@ -17,6 +17,7 @@ dictionary = Dictionary(words)
 
 # d is fixed at build time: every query will tolerate up to 2 edits.
 index = FastSSIndex.build(dictionary, IndexParams(max_distance=2))
+scanner = NaiveScanner(dictionary)
 print(f"{index!r}")
 print(f"table holds {index.stats.stored_pairs} (key, word-id) pairs "
       f"under {index.stats.distinct_keys} keys\n")
@@ -27,7 +28,7 @@ for query in ["ship", "shep", "qeury", "gild", "xylophone"]:
     print(f"{query!r:14} -> {shown or 'no matches'}")
 
     # Lossless: the filtered search equals the exhaustive scan, always.
-    assert matches == naive_scan(dictionary, query, 2)
+    assert matches == scanner.scan(query, 2)
 
 print("\nevery result above was cross-checked against a full scan")
 

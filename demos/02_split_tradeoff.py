@@ -10,7 +10,8 @@ fraction of its unsplit size while queries stay in the same ballpark.
 
 import time
 
-from fastss import FastSSIndex, IndexParams, bundled_words_path, load_dictionary, perturb
+from fastss import FastSSIndex, IndexParams, bundled_words_path, load_dictionary
+from fastss.bench import perturb
 
 dictionary = load_dictionary(bundled_words_path())
 print(f"dictionary: {len(dictionary)} words, "

@@ -8,7 +8,8 @@ triangle inequality but still visits a big slice at useful distances, and
 the residual index verifies a few dozen candidates.
 """
 
-from fastss import Dictionary, bundled_words_path, compare_baselines, load_dictionary, perturb, write_csv
+from fastss import Dictionary, bundled_words_path, load_dictionary
+from fastss.bench import compare_baselines, perturb, write_csv
 
 # a 6k-word slice keeps the BK-tree build snappy for a demo
 dictionary = Dictionary(load_dictionary(bundled_words_path()).words[:6000])

@@ -6,76 +6,44 @@ scanning the whole list. Long words can be split in half at build time to
 trade a much smaller index for slightly slower queries, without giving up
 any matches. Exhaustive-scan and BK-tree baselines plus a closed-form
 collision model are included for benchmarking, and the ``fastss`` CLI
-drives all of it from the shell.
+drives all of it from the shell. Workload and report helpers live in
+``fastss.bench``, key hashing in ``fastss.neighborhood``.
 """
 
 from .analysis import CollisionModel, expected_candidates, markov_bound
-from .baselines import BKTree, NaiveScanner, naive_scan
-from .bench import (
-    BenchReport,
-    LosslessnessError,
-    QueryCase,
-    Workload,
-    bundled_words_path,
-    compare_baselines,
-    load_dictionary,
-    perturb,
-    run_benchmark,
-    write_csv,
-)
+from .baselines import BKTree, NaiveScanner
+from .bench import bundled_words_path, load_dictionary
 from .distance import banded_edit_distance, full_edit_distance
 from .index import (
     Dictionary,
     FastSSIndex,
     IndexFormatError,
     IndexParams,
-    IndexStats,
     Match,
     split_positions,
     split_word,
 )
-from .neighborhood import (
-    HalfTag,
-    delete_positions,
-    deletion_neighborhood,
-    full_neighborhood,
-    hash_residual,
-    residual_keys,
-)
+from .neighborhood import full_neighborhood, residual_keys
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BKTree",
-    "BenchReport",
     "CollisionModel",
     "Dictionary",
     "FastSSIndex",
-    "HalfTag",
     "IndexFormatError",
     "IndexParams",
-    "IndexStats",
-    "LosslessnessError",
     "Match",
     "NaiveScanner",
-    "QueryCase",
-    "Workload",
     "banded_edit_distance",
     "bundled_words_path",
-    "compare_baselines",
-    "delete_positions",
-    "deletion_neighborhood",
     "expected_candidates",
     "full_edit_distance",
     "full_neighborhood",
-    "hash_residual",
     "load_dictionary",
     "markov_bound",
-    "naive_scan",
-    "perturb",
     "residual_keys",
-    "run_benchmark",
     "split_positions",
     "split_word",
-    "write_csv",
 ]

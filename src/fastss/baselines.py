@@ -14,7 +14,7 @@ import numpy as np
 from .distance import full_edit_distance
 from .index import Dictionary, Match
 
-__all__ = ["NaiveScanner", "naive_scan", "BKTree"]
+__all__ = ["NaiveScanner", "BKTree"]
 
 _PAD = 0x110000  # above every valid code point, never equal to query chars
 
@@ -76,12 +76,6 @@ class NaiveScanner:
         matches = [Match(int(i), int(dists[i])) for i in hits]
         matches.sort(key=lambda match: (match.distance, match.word_id))
         return matches
-
-
-def naive_scan(dictionary: Dictionary, query: str, max_distance: int) -> list[Match]:
-    """One-shot exhaustive scan. For repeated queries against the same
-    dictionary, build a NaiveScanner once instead."""
-    return NaiveScanner(dictionary).scan(query, max_distance)
 
 
 class _Node:

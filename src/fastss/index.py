@@ -50,18 +50,6 @@ class Dictionary:
                 raise ValueError(f"duplicate word {w!r} at position {i}")
             self._ids[w] = i
 
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "Dictionary":
-        """Build from raw lines: blanks skipped, duplicates dropped keeping
-        the first occurrence, order otherwise preserved."""
-        seen = set()
-        kept = []
-        for line in lines:
-            if line and line not in seen:
-                seen.add(line)
-                kept.append(line)
-        return cls(kept)
-
     @property
     def words(self) -> tuple[str, ...]:
         return self._words
@@ -148,7 +136,22 @@ def split_word(word: str) -> tuple[str, str]:
 def split_positions(length: int, max_distance: int) -> list[int]:
     """Query split positions to probe: all cut points within
     ceil(length/2) +/- ceil(max_distance/2), clamped so both parts are
-    non-empty. Empty for queries shorter than 2 characters."""
+    non-empty. Empty for queries shorter than 2 characters.
+
+    Why this window loses no match. Let a word w of length n be split at
+    c = ceil(n/2) and let a query q be within e <= d edits of w. An optimal
+    alignment of w and q maps the cut c to some cut t of q, with
+    ed(w[:c], q[:t]) = e1, ed(w[c:], q[t:]) = e2 and e1 + e2 <= e. The
+    halves change length by a = t - c and b = (len(q) - t) - (n - c), with
+    |a| <= e1 and |b| <= e2. Rounding each ceil moves it by at most 1/2, so
+    t - ceil(len(q)/2) lies within (a - b)/2 +/- 1/2; it is an integer of
+    size at most (d + 1)/2, hence at most ceil(d/2), and t is in the
+    window. One half is then within floor(d/2) <= ceil(d/2) edits, the
+    budget each half is indexed with. If the clamp excludes t (t is 0 or
+    len(q)), the probe at 1 or len(q) - 1 costs at most one edit more in
+    total, e1 + e2 <= d + 1, and one half is still within ceil(d/2). A
+    split word has n > m > d, so len(q) >= 2 and the window is non-empty.
+    """
     if length < 2:
         return []
     center = (length + 1) // 2
@@ -162,7 +165,7 @@ class FastSSIndex:
     """Immutable residual-key index bound to the dictionary it was built
     from. Build once, then query from any number of threads."""
 
-    __slots__ = ("_dictionary", "_params", "_table", "_stats")
+    __slots__ = ("_dictionary", "_params", "_table", "_stats", "_longest")
 
     def __init__(self, dictionary: Dictionary, params: IndexParams,
                  table: dict[int, list[int]], stats: IndexStats):
@@ -170,6 +173,7 @@ class FastSSIndex:
         self._params = params
         self._table = table
         self._stats = stats
+        self._longest = max(map(len, dictionary), default=0)
 
     @classmethod
     def build(cls, dictionary: Dictionary, params: IndexParams) -> "FastSSIndex":
@@ -208,20 +212,24 @@ class FastSSIndex:
     def stats(self) -> IndexStats:
         return self._stats
 
-    @property
-    def table(self) -> dict[int, list[int]]:
-        return self._table
-
     def candidates(self, query: str) -> set[int]:
         """Word ids sharing at least one residual key with the query.
 
         Guaranteed to contain every word within ``max_distance`` of the
         query; hash collisions may add extras, which verification removes.
+        Raises TypeError for a query that is not a ``str``.
         """
+        if not isinstance(query, str):
+            raise TypeError(f"query must be str, not {type(query).__name__}")
         d = self._params.max_distance
         m = self._params.split_threshold
         table = self._table
         found: set[int] = set()
+
+        # No word matches a query more than d characters longer than the
+        # longest word, so such a query costs nothing to enumerate.
+        if len(query) > self._longest + d:
+            return found
 
         # Whole-word probe: an unsplit word has length <= m, so a match
         # implies len(query) <= m + d. Unbounded m never splits.
@@ -248,7 +256,8 @@ class FastSSIndex:
 
     def search(self, query: str) -> list[Match]:
         """All dictionary words within ``max_distance`` of the query,
-        sorted by (distance, word id). Exactly the naive-scan result set."""
+        sorted by (distance, word id). Exactly the naive-scan result set.
+        Raises TypeError for a query that is not a ``str``."""
         d = self._params.max_distance
         words = self._dictionary
         matches = []

@@ -14,12 +14,9 @@ The hash is part of the index file format and must stay bit-stable.
 from __future__ import annotations
 
 from enum import IntEnum
-from itertools import combinations
 
 __all__ = [
     "HalfTag",
-    "delete_positions",
-    "deletion_neighborhood",
     "full_neighborhood",
     "hash_residual",
     "residual_keys",
@@ -38,54 +35,21 @@ class HalfTag(IntEnum):
     SUFFIX = 0x02
 
 
-def delete_positions(word: str, positions: list[int] | tuple[int, ...]) -> str:
-    """Remove the given character positions from ``word``.
-
-    Positions must be strictly increasing and in range; remaining
-    characters keep their original order.
-    """
-    previous = -1
-    for p in positions:
-        if p <= previous:
-            raise ValueError("positions must be strictly increasing")
-        if p >= len(word):
-            raise ValueError(f"position {p} out of range for word of length {len(word)}")
-        previous = p
-    return _splice(word, positions)
-
-
-def _splice(word: str, positions) -> str:
-    parts = []
-    previous = 0
-    for p in positions:
-        parts.append(word[previous:p])
-        previous = p + 1
-    parts.append(word[previous:])
-    return "".join(parts)
-
-
-def deletion_neighborhood(word: str, deletions: int) -> set[str]:
-    """All distinct residuals of ``word`` with exactly ``deletions`` removed
-    positions. Empty set when more deletions are requested than the word has
-    characters."""
-    if deletions < 0:
-        raise ValueError("deletions must be non-negative")
-    if deletions > len(word):
-        return set()
-    if deletions == 0:
-        return {word}
-    return {_splice(word, pos) for pos in combinations(range(len(word)), deletions)}
-
-
 def full_neighborhood(word: str, max_deletions: int) -> set[str]:
     """All distinct residuals reachable with at most ``max_deletions``
-    deletions, the word itself included."""
+    deletions, the word itself included.
+
+    Built one deletion level at a time: every residual with k + 1
+    deletions is a residual with k deletions minus one more character, and
+    duplicates collapse before the next level expands them.
+    """
     if max_deletions < 0:
         raise ValueError("max_deletions must be non-negative")
-    out = {word}
-    for k in range(1, min(max_deletions, len(word)) + 1):
-        for pos in combinations(range(len(word)), k):
-            out.add(_splice(word, pos))
+    level = {word}
+    out = set(level)
+    for _ in range(min(max_deletions, len(word))):
+        level = {r[:i] + r[i + 1:] for r in level for i in range(len(r))}
+        out |= level
     return out
 
 

@@ -3,18 +3,18 @@ from itertools import product
 
 import pytest
 
-from fastss.baselines import BKTree, NaiveScanner, naive_scan
+from fastss.baselines import BKTree, NaiveScanner
 from fastss.distance import full_edit_distance
 from fastss.index import Dictionary, FastSSIndex, IndexParams, Match
 from helpers import perturb_word, random_unique_words, random_word
 
 
 def test_naive_scan_simple():
-    assert naive_scan(Dictionary(["a", "b"]), "a", 0) == [Match(0, 0)]
-    assert naive_scan(Dictionary([]), "anything", 3) == []
-    result = naive_scan(Dictionary(["ab", "ba", "zz"]), "ab", 2)
-    assert result == [Match(0, 0), Match(1, 2), Match(2, 2)]
-    assert naive_scan(Dictionary(["ab", "ba", "zz"]), "ab", 1) == [Match(0, 0)]
+    assert NaiveScanner(Dictionary(["a", "b"])).scan("a", 0) == [Match(0, 0)]
+    assert NaiveScanner(Dictionary([])).scan("anything", 3) == []
+    scanner = NaiveScanner(Dictionary(["ab", "ba", "zz"]))
+    assert scanner.scan("ab", 2) == [Match(0, 0), Match(1, 2), Match(2, 2)]
+    assert scanner.scan("ab", 1) == [Match(0, 0)]
 
 
 def test_scanner_distances_match_scalar():
@@ -35,16 +35,6 @@ def test_scanner_distances_match_scalar_unicode():
         dists = scanner.distances(q)
         for i, w in enumerate(words):
             assert dists[i] == full_edit_distance(w, q), (w, q)
-
-
-def test_scanner_and_one_shot_agree():
-    rng = random.Random(31)
-    words = random_unique_words(rng, 50, 1, 10)
-    dictionary = Dictionary(words)
-    scanner = NaiveScanner(dictionary)
-    for _ in range(25):
-        q = perturb_word(rng, rng.choice(words), rng.randint(0, 3))
-        assert scanner.scan(q, 2) == naive_scan(dictionary, q, 2)
 
 
 def test_naive_agrees_with_index_both_directions():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import fastss.index
+from fastss.baselines import NaiveScanner
 from fastss.distance import banded_edit_distance, full_edit_distance
 from fastss.index import (
     Dictionary,
@@ -32,11 +34,6 @@ def test_dictionary_validation():
     with pytest.raises(ValueError):
         Dictionary(["a", ""])
     assert len(Dictionary([])) == 0
-
-
-def test_dictionary_from_lines_dedups():
-    d = Dictionary.from_lines(["a", "b", "a", "", "c", "b"])
-    assert d.words == ("a", "b", "c")
 
 
 def test_params_validation():
@@ -90,16 +87,17 @@ def test_build_stored_pairs_equal_neighborhood_sizes():
         idx = FastSSIndex.build(Dictionary(words), IndexParams(d))
         assert idx.stats.stored_pairs == sum(
             len(full_neighborhood(w, d)) for w in words)
-        assert idx.stats.distinct_keys == len(idx.table)
-        assert idx.stats.stored_pairs == sum(map(len, idx.table.values()))
+        # from_bytes recounts keys and id lists from the serialized table.
+        assert FastSSIndex.from_bytes(idx.to_bytes()).stats == idx.stats
 
 
 def test_table_id_lists_sorted_unique():
     rng = random.Random(12)
     words = random_unique_words(rng, 100, 1, 10, alphabet="ab")
     idx = FastSSIndex.build(Dictionary(words), IndexParams(2, 4))
-    for ids in idx.table.values():
-        assert ids == sorted(set(ids))
+    # to_bytes writes every id list as built, and from_bytes raises
+    # IndexFormatError on any list that is not strictly ascending.
+    assert FastSSIndex.from_bytes(idx.to_bytes()) == idx
 
 
 def test_candidates_contain_exact_word():
@@ -225,4 +223,41 @@ def test_repeated_queries_are_deterministic():
     first = [idx.search(q) for q in queries]
     second = [idx.search(q) for q in queries]
     assert first == second
-    assert idx.stats.stored_pairs == sum(map(len, idx.table.values()))
+    assert FastSSIndex.from_bytes(idx.to_bytes()).stats == idx.stats
+
+
+@pytest.mark.parametrize("query", [b"ab", ("a", "b"), ["a", "b"], 5, None],
+                         ids=["bytes", "tuple", "list", "int", "None"])
+@pytest.mark.parametrize("d, m", [(0, None), (2, None), (3, 7)],
+                         ids=["d0", "d2", "d3-m7"])
+def test_non_str_query_raises_type_error(d, m, query):
+    idx = FastSSIndex.build(Dictionary(["ab", "ba", "abcdefghij"]), IndexParams(d, m))
+    with pytest.raises(TypeError):
+        idx.search(query)
+    with pytest.raises(TypeError):
+        idx.candidates(query)
+
+
+def test_overlong_query_enumerates_nothing(monkeypatch):
+    # A query longer than the longest word plus d cannot match, so it must
+    # be answered without enumerating a single residual.
+    rng = random.Random(19)
+    words = random_unique_words(rng, 100, 1, 14)
+    dictionary = Dictionary(words)
+    scanner = NaiveScanner(dictionary)
+    longest = max(words, key=len)
+    indexes = {(d, m): FastSSIndex.build(dictionary, IndexParams(d, m))
+               for d in range(4) for m in (None, d + 4)}
+    # At the bound itself the query is still enumerated and can match.
+    for (d, m), idx in indexes.items():
+        q = longest + "z" * d
+        assert idx.search(q) == scanner.scan(q, d), (d, m)
+        assert Match(dictionary.id_of(longest), d) in idx.search(q)
+
+    def refuse(*args):
+        raise AssertionError("residual_keys called for an overlong query")
+
+    monkeypatch.setattr(fastss.index, "residual_keys", refuse)
+    for (d, m), idx in indexes.items():
+        for q in ["q" * 120, "y" * (len(longest) + d + 1)]:
+            assert idx.search(q) == [] == scanner.scan(q, d), (q, d, m)

@@ -7,8 +7,6 @@ import pytest
 from fastss.distance import full_edit_distance
 from fastss.neighborhood import (
     HalfTag,
-    delete_positions,
-    deletion_neighborhood,
     full_neighborhood,
     hash_residual,
     residual_keys,
@@ -21,46 +19,48 @@ def is_subsequence(short: str, long: str) -> bool:
     return all(c in it for c in short)
 
 
-def test_delete_positions_basic():
-    assert delete_positions("abc", [1]) == "ac"
-    assert delete_positions("abc", []) == "abc"
-    assert delete_positions("abcd", [0, 3]) == "bc"
+def residuals_with(word: str, k: int) -> set[str]:
+    """Residuals of ``word`` with exactly ``k`` deletions, one per position
+    subset, computed independently of the library's enumerator."""
+    return {"".join(c for i, c in enumerate(word) if i not in pos)
+            for pos in combinations(range(len(word)), k)}
 
 
-def test_delete_positions_errors():
-    with pytest.raises(ValueError):
-        delete_positions("abc", [3])
-    with pytest.raises(ValueError):
-        delete_positions("abc", [1, 1])
-    with pytest.raises(ValueError):
-        delete_positions("abc", [2, 0])
+def level(word: str, max_deletions: int, k: int) -> set[str]:
+    """The residuals in ``full_neighborhood`` with exactly ``k`` deletions:
+    every residual of ``word`` has length ``len(word)`` minus its deletion
+    count."""
+    return {r for r in full_neighborhood(word, max_deletions)
+            if len(r) == len(word) - k}
 
 
 def test_deletion_neighborhood_examples():
-    assert deletion_neighborhood("ab", 1) == {"a", "b"}
-    assert deletion_neighborhood("aa", 1) == {"a"}
+    assert level("ab", 1, 1) == {"a", "b"}
+    assert level("aa", 1, 1) == {"a"}
+    assert level("abc", 1, 0) == {"abc"}
+    assert "ac" in level("abc", 1, 1)
+    assert "bc" in level("abcd", 2, 2)
     # Derived by enumerating all C(3,2)=3 position pairs independently.
-    expected = {delete_positions("abc", list(pos)) for pos in combinations(range(3), 2)}
+    expected = residuals_with("abc", 2)
     assert expected == {"a", "b", "c"}
-    assert deletion_neighborhood("abc", 2) == expected
+    assert level("abc", 2, 2) == expected
 
 
 def test_deletion_neighborhood_edges():
-    assert deletion_neighborhood("abc", 0) == {"abc"}
-    assert deletion_neighborhood("abc", 3) == {""}
-    assert deletion_neighborhood("abc", 4) == set()
+    assert full_neighborhood("abc", 0) == {"abc"}
+    assert level("abc", 3, 3) == {""}
+    assert full_neighborhood("", 2) == {""}
+    # Budget beyond the length saturates: no residual has 4 deletions.
+    assert full_neighborhood("abc", 4) == full_neighborhood("abc", 3)
     with pytest.raises(ValueError):
-        deletion_neighborhood("abc", -1)
+        full_neighborhood("abc", -1)
 
 
 def test_full_neighborhood_examples():
     assert full_neighborhood("ab", 1) == {"ab", "a", "b"}
     assert full_neighborhood("xyz", 0) == {"xyz"}
     # Derived by enumerating all 2^3 subsets of positions.
-    expected = set()
-    for k in range(4):
-        for pos in combinations(range(3), k):
-            expected.add(delete_positions("abc", list(pos)))
+    expected = set().union(*(residuals_with("abc", k) for k in range(4)))
     assert expected == {"abc", "ab", "ac", "bc", "a", "b", "c", ""}
     assert full_neighborhood("abc", 3) == expected
     # Budget beyond the length saturates instead of failing.
@@ -71,11 +71,23 @@ def test_neighborhood_size_bound():
     rng = random.Random(3)
     for _ in range(200):
         w = random_word(rng, 0, 9)
+        residuals = full_neighborhood(w, len(w))
         for k in range(0, len(w) + 1):
-            size = len(deletion_neighborhood(w, k))
+            size = len({r for r in residuals if len(r) == len(w) - k})
             assert size <= comb(len(w), k)
             if len(set(w)) == len(w):
                 assert size == comb(len(w), k)
+
+
+def test_neighborhood_levels_match_position_subsets():
+    # Each deletion level equals the residuals of all position subsets of
+    # that size, for every budget up to the word length.
+    rng = random.Random(6)
+    for _ in range(200):
+        w = random_word(rng, 0, 8, alphabet="abc")
+        for d in range(len(w) + 2):
+            assert full_neighborhood(w, d) == set().union(
+                *(residuals_with(w, k) for k in range(min(d, len(w)) + 1))), (w, d)
 
 
 def test_neighborhood_elements_are_subsequences():
