@@ -34,12 +34,19 @@ def level(word: str, max_deletions: int, k: int) -> set[str]:
             if len(r) == len(word) - k}
 
 
-def test_deletion_neighborhood_examples():
-    assert level("ab", 1, 1) == {"a", "b"}
-    assert level("aa", 1, 1) == {"a"}
+def test_delete_positions_basic():
+    # Deleting given positions: abc minus 1, abc minus nothing, abcd minus 0 and 3.
+    assert residuals_with("abc", 0) == {"abc"}
+    assert "ac" in residuals_with("abc", 1)
+    assert "bc" in residuals_with("abcd", 2)
     assert level("abc", 1, 0) == {"abc"}
     assert "ac" in level("abc", 1, 1)
     assert "bc" in level("abcd", 2, 2)
+
+
+def test_deletion_neighborhood_examples():
+    assert level("ab", 1, 1) == {"a", "b"}
+    assert level("aa", 1, 1) == {"a"}
     # Derived by enumerating all C(3,2)=3 position pairs independently.
     expected = residuals_with("abc", 2)
     assert expected == {"a", "b", "c"}
