@@ -3,7 +3,7 @@
 
 The index maps hashed deletion residuals back to the words that produced
 them. A query computes its own residuals, collects every word sharing one,
-and verifies that short candidate list with a banded distance computation.
+and verifies that short candidate list with a bit-vector edit distance.
 The result is exactly what scanning the whole dictionary would return.
 """
 

@@ -43,8 +43,11 @@ class NaiveScanner:
         are kept shifted by their column index, which turns the in-row
         insertion dependency into a plain running minimum: a horizontal
         run of insertions costs exactly 1 per skipped column, so in
-        shifted space it costs nothing.
+        shifted space it costs nothing. Raises TypeError for a query that
+        is not a ``str``.
         """
+        if not isinstance(query, str):
+            raise TypeError(f"query must be str, not {type(query).__name__}")
         n, width = self._matrix.shape
         if n == 0:
             return np.empty(0, dtype=np.int64)
@@ -126,7 +129,10 @@ class BKTree:
     def query(self, query: str, max_distance: int) -> tuple[list[Match], int]:
         """Returns (matches sorted by (distance, id), number of distance
         computations performed). The computation count is the traversal's
-        search-space size, comparable to a candidate-set size."""
+        search-space size, comparable to a candidate-set size. Raises
+        TypeError for a query that is not a ``str``."""
+        if not isinstance(query, str):
+            raise TypeError(f"query must be str, not {type(query).__name__}")
         words = self._dictionary.words
         matches = []
         computations = 0

@@ -1,6 +1,6 @@
 """Levenshtein edit distance: a plain full-table version used as the ground
-truth everywhere, and a banded version for verifying candidates against a
-fixed distance threshold.
+truth everywhere, and a bit-vector verifier that checks candidates against
+a fixed distance threshold.
 
 Strings are compared as sequences of Unicode code points; insertions,
 deletions and substitutions all cost 1.
@@ -8,7 +8,9 @@ deletions and substitutions all cost 1.
 
 from __future__ import annotations
 
-__all__ = ["full_edit_distance", "banded_edit_distance"]
+from typing import Callable
+
+__all__ = ["full_edit_distance", "edit_distance_verifier"]
 
 
 def full_edit_distance(a: str, b: str) -> int:
@@ -35,56 +37,47 @@ def full_edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-def banded_edit_distance(a: str, b: str, bound: int) -> int | None:
-    """Edit distance restricted to a diagonal band of width ``2*bound + 1``.
+def edit_distance_verifier(query: str, bound: int) -> Callable[[str], int | None]:
+    """A function mapping a word to its edit distance from ``query`` when
+    that is <= ``bound``, and to None otherwise.
 
-    Returns the exact distance when it is <= ``bound`` and None when the
-    distance is larger. Fills O(bound * min(len(a), len(b))) cells and stops
-    as soon as a whole band row exceeds the bound, which certifies that no
-    alignment within the bound exists.
+    Bit-vector dynamic programming (Myers 1999, in the global-distance form
+    of Hyyrö 2001): one column of the table per word character, held as
+    the vertical +1/-1 deltas ``pv``/``mv`` of a ``len(query)``-bit int.
+    The per-character match masks of the query are built once here and
+    shared by every word the returned function checks.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    if len(a) > len(b):
-        a, b = b, a
-    n, m = len(a), len(b)
-    if m - n > bound:
-        return None  # length difference is a lower bound for the distance
+    n = len(query)
+    if not n:
+        return lambda word: len(word) if len(word) <= bound else None
+    mask = (1 << n) - 1
+    last = 1 << (n - 1)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(query):
+        peq[c] = peq.get(c, 0) | (1 << i)
 
-    width = 2 * bound + 1
-    too_far = bound + 1
-    # prev[k] holds D[i-1][j] with j = (i-1) - bound + k; cells outside the
-    # band (or past the bound) are clamped to too_far.
-    prev = [too_far] * width
-    for k in range(width):
-        j = k - bound
-        if 0 <= j <= min(m, bound):
-            prev[k] = j
+    def verify(word: str) -> int | None:
+        if abs(len(word) - n) > bound:
+            return None  # length difference is a lower bound for the distance
+        pv, mv, score = mask, 0, n  # first column: D[i][0] = i
+        for c in word:
+            eq = peq.get(c, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (~(xh | pv) & mask)
+            mh = pv & xh
+            # score follows the bottom row, D[n][j]
+            if ph & last:
+                score += 1
+            elif mh & last:
+                score -= 1
+            # the carried-in 1 is the top row's horizontal delta, D[0][j] = j
+            ph = ((ph << 1) | 1) & mask
+            mh = (mh << 1) & mask
+            pv = mh | (~(xv | ph) & mask)
+            mv = ph & xv
+        return score if score <= bound else None
 
-    for i in range(1, n + 1):
-        current = [too_far] * width
-        row_min = too_far
-        ca = a[i - 1]
-        for k in range(width):
-            j = i - bound + k
-            if j < 0 or j > m:
-                continue
-            if j == 0:
-                value = i
-            else:
-                value = prev[k] + (ca != b[j - 1])
-                if k + 1 < width and prev[k + 1] + 1 < value:
-                    value = prev[k + 1] + 1
-                if k > 0 and current[k - 1] + 1 < value:
-                    value = current[k - 1] + 1
-                if value > too_far:
-                    value = too_far
-            current[k] = value
-            if value < row_min:
-                row_min = value
-        if row_min > bound:
-            return None
-        prev = current
-
-    distance = prev[m - n + bound]
-    return distance if distance <= bound else None
+    return verify

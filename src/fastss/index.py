@@ -3,10 +3,10 @@ queries.
 
 Every dictionary word contributes the hashed residuals of its deletion
 neighborhood; a query probes the same keys and verifies the surviving
-candidates with a banded distance computation. Words longer than the
-splitting threshold are instead split in half and each half is indexed
-with half the error budget, which shrinks the index dramatically while
-queries compensate by probing several split positions.
+candidates with one bit-vector edit-distance verifier per query. Words
+longer than the splitting threshold are instead split in half and each
+half is indexed with half the error budget, which shrinks the index
+dramatically while queries compensate by probing several split positions.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .distance import banded_edit_distance
+from .distance import edit_distance_verifier
 from .neighborhood import HalfTag, residual_keys
 
 __all__ = [
@@ -35,8 +35,8 @@ _VERSION = 1
 
 
 class Dictionary:
-    """Ordered list of unique, non-empty words. A word's position is its
-    permanent id."""
+    """Ordered list of unique, non-empty ``str`` words. A word's position
+    is its permanent id."""
 
     __slots__ = ("_words", "_ids")
 
@@ -44,6 +44,8 @@ class Dictionary:
         self._words = tuple(words)
         self._ids: dict[str, int] = {}
         for i, w in enumerate(self._words):
+            if not isinstance(w, str):
+                raise TypeError(f"word {i} must be str, not {type(w).__name__}")
             if not w:
                 raise ValueError(f"empty word at position {i}")
             if w in self._ids:
@@ -223,7 +225,6 @@ class FastSSIndex:
             raise TypeError(f"query must be str, not {type(query).__name__}")
         d = self._params.max_distance
         m = self._params.split_threshold
-        table = self._table
         found: set[int] = set()
 
         # No word matches a query more than d characters longer than the
@@ -231,38 +232,37 @@ class FastSSIndex:
         if len(query) > self._longest + d:
             return found
 
+        keys: set[int] = set()
         # Whole-word probe: an unsplit word has length <= m, so a match
         # implies len(query) <= m + d. Unbounded m never splits.
         if m is None or len(query) <= m + d:
-            for key in residual_keys(query, d, HalfTag.WHOLE):
-                ids = table.get(key)
-                if ids is not None:
-                    found.update(ids)
+            keys |= residual_keys(query, d, HalfTag.WHOLE)
 
         # Split probes: a split word has length >= m + 1, so a match
         # implies len(query) >= m + 1 - d.
         if m is not None and len(query) >= m - d + 1:
             half = self._params.half_budget
             for cut in split_positions(len(query), d):
-                for key in residual_keys(query[:cut], half, HalfTag.PREFIX):
-                    ids = table.get(key)
-                    if ids is not None:
-                        found.update(ids)
-                for key in residual_keys(query[cut:], half, HalfTag.SUFFIX):
-                    ids = table.get(key)
-                    if ids is not None:
-                        found.update(ids)
+                keys |= residual_keys(query[:cut], half, HalfTag.PREFIX)
+                keys |= residual_keys(query[cut:], half, HalfTag.SUFFIX)
+
+        table = self._table
+        for key in keys:
+            ids = table.get(key)
+            if ids is not None:
+                found.update(ids)
         return found
 
     def search(self, query: str) -> list[Match]:
         """All dictionary words within ``max_distance`` of the query,
         sorted by (distance, word id). Exactly the naive-scan result set.
         Raises TypeError for a query that is not a ``str``."""
-        d = self._params.max_distance
+        found = self.candidates(query)
+        verify = edit_distance_verifier(query, self._params.max_distance)
         words = self._dictionary
         matches = []
-        for word_id in self.candidates(query):
-            distance = banded_edit_distance(words[word_id], query, d)
+        for word_id in found:
+            distance = verify(words[word_id])
             if distance is not None:
                 matches.append(Match(word_id, distance))
         matches.sort(key=lambda match: (match.distance, match.word_id))

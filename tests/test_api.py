@@ -8,7 +8,7 @@ PUBLIC = {
     "split_word", "split_positions",
     "full_neighborhood", "residual_keys",
     "NaiveScanner", "BKTree",
-    "full_edit_distance", "banded_edit_distance",
+    "full_edit_distance", "edit_distance_verifier",
     "CollisionModel", "expected_candidates", "markov_bound",
     "load_dictionary", "bundled_words_path",
 }

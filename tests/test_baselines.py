@@ -106,3 +106,16 @@ def test_bk_pruning_soundness_exhaustive():
         for d in range(4):
             matches, _ = tree.query(q, d)
             assert matches == scanner.scan(q, d), (q, d)
+
+
+@pytest.mark.parametrize("query", [b"ab", ("a", "b"), ["a", "b"], 5, None],
+                         ids=["bytes", "tuple", "list", "int", "None"])
+def test_baselines_reject_non_str_query(query):
+    dictionary = Dictionary(["ab", "ba"])
+    scanner = NaiveScanner(dictionary)
+    with pytest.raises(TypeError):
+        scanner.distances(query)
+    with pytest.raises(TypeError):
+        scanner.scan(query, 1)
+    with pytest.raises(TypeError):
+        BKTree.build(dictionary).query(query, 1)

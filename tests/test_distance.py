@@ -3,7 +3,8 @@ from functools import lru_cache
 
 import pytest
 
-from fastss.distance import banded_edit_distance, full_edit_distance
+from fastss.distance import edit_distance_verifier, full_edit_distance
+from helpers import perturb_word
 
 
 @lru_cache(maxsize=None)
@@ -70,27 +71,50 @@ def test_metric_properties():
         checked += 1
 
 
+# The test_banded_* names date from the banded DP this verifier replaced;
+# the contract they check is unchanged.
+
 def test_banded_trivial_cases():
-    assert banded_edit_distance("abc", "abc", 0) == 0
-    assert banded_edit_distance("abcd", "abxd", 1) == 1  # full DP gives 1
-    assert banded_edit_distance("aaaa", "bbbb", 2) is None  # full DP gives 4
-    assert banded_edit_distance("", "", 0) == 0
-    assert banded_edit_distance("", "ab", 1) is None
-    assert banded_edit_distance("", "ab", 2) == 2
+    assert edit_distance_verifier("abc", 0)("abc") == 0
+    assert edit_distance_verifier("abcd", 1)("abxd") == 1  # full DP gives 1
+    assert edit_distance_verifier("aaaa", 2)("bbbb") is None  # full DP gives 4
+    assert edit_distance_verifier("", 0)("") == 0
+    assert edit_distance_verifier("", 1)("ab") is None
+    assert edit_distance_verifier("", 2)("ab") == 2
+    assert edit_distance_verifier("ab", 2)("") == 2
 
 
 def test_banded_rejects_negative_bound():
     with pytest.raises(ValueError):
-        banded_edit_distance("a", "b", -1)
+        edit_distance_verifier("a", -1)
+    with pytest.raises(ValueError):
+        edit_distance_verifier("", -1)
+
+
+def risky_pairs(rng):
+    """Inputs the bit-vector form could get wrong: masks wider than 64
+    bits, characters absent from the query, empty sides, and code points
+    outside ASCII."""
+    pairs = [("straße", "strasse"), ("münchen", "munchen"),
+             ("strasse", "straße"), ("munchen", "münchen"),
+             ("", ""), ("", "ab"), ("ab", ""), ("abc", "xyz"), ("xyz", "abxyz")]
+    for _ in range(40):
+        a = "".join(rng.choice("abcd") for _ in range(rng.randint(60, 130)))
+        # A few edits keep b within reach of small bounds; some of them
+        # bring in characters the other side never contains.
+        b = perturb_word(rng, a, rng.randint(0, 5), alphabet="abcdxyzé")
+        pairs += [(a, b), (b, a)]
+    return pairs
 
 
 @pytest.mark.parametrize("bound", range(0, 5))
 def test_banded_agrees_with_full(bound):
     rng = random.Random(100 + bound)
-    for _ in range(2_000):
-        a, b = random_word(rng), random_word(rng)
+    pairs = [(random_word(rng), random_word(rng)) for _ in range(2_000)]
+    pairs += risky_pairs(rng)
+    for a, b in pairs:
         true = full_edit_distance(a, b)
-        got = banded_edit_distance(a, b, bound)
+        got = edit_distance_verifier(a, bound)(b)
         if true <= bound:
             assert got == true, (a, b, bound)
         else:
@@ -102,4 +126,5 @@ def test_banded_is_symmetric():
     for _ in range(500):
         a, b = random_word(rng), random_word(rng)
         for bound in (0, 1, 3):
-            assert banded_edit_distance(a, b, bound) == banded_edit_distance(b, a, bound)
+            assert (edit_distance_verifier(a, bound)(b)
+                    == edit_distance_verifier(b, bound)(a))

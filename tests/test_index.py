@@ -4,7 +4,7 @@ import pytest
 
 import fastss.index
 from fastss.baselines import NaiveScanner
-from fastss.distance import banded_edit_distance, full_edit_distance
+from fastss.distance import edit_distance_verifier, full_edit_distance
 from fastss.index import (
     Dictionary,
     FastSSIndex,
@@ -34,6 +34,15 @@ def test_dictionary_validation():
     with pytest.raises(ValueError):
         Dictionary(["a", ""])
     assert len(Dictionary([])) == 0
+
+
+@pytest.mark.parametrize("word", [b"ab", ("a", "b"), ["a", "b"], 5, None],
+                         ids=["bytes", "tuple", "list", "int", "None"])
+def test_dictionary_rejects_non_str_words(word):
+    with pytest.raises(TypeError):
+        Dictionary([word, "ab"])
+    with pytest.raises(TypeError):
+        Dictionary(["ab", word])
 
 
 def test_params_validation():
@@ -191,27 +200,35 @@ def test_split_cover_property():
         prefix, suffix = split_word(w)
         half = (d + 1) // 2
         assert any(
-            banded_edit_distance(prefix, q[:cut], half) is not None
-            or banded_edit_distance(suffix, q[cut:], half) is not None
+            edit_distance_verifier(q[:cut], half)(prefix) is not None
+            or edit_distance_verifier(q[cut:], half)(suffix) is not None
             for cut in split_positions(len(q), d)
         ) or len(q) < 2, (w, q, d)
 
 
 def test_losslessness_exhaustive_small_universe():
-    # Every word of length 1..4 over {a,b} as the dictionary, every string
-    # of length 0..5 over {a,b} as a query: no sampling, no escape hatches.
+    # Every word of length 1..7 over {a,b} as the dictionary, every string
+    # of length 0..9 over {a,b} as a query, every d in 0..4 with no split
+    # and with every split threshold from d+1 to the longest word: no
+    # sampling, no escape hatches.
     from itertools import product
 
-    words = ["".join(t) for n in range(1, 5) for t in product("ab", repeat=n)]
+    words = ["".join(t) for n in range(1, 8) for t in product("ab", repeat=n)]
     dictionary = Dictionary(words)
-    queries = ["".join(t) for n in range(6) for t in product("ab", repeat=n)]
-    for d in range(4):
-        for m in (d + 1, 4, None):
-            if m is not None and m <= d:
-                continue
+    queries = ["".join(t) for n in range(10) for t in product("ab", repeat=n)]
+    # The full-table reference is computed once per query, not per config.
+    distances = {q: [full_edit_distance(w, q) for w in words] for q in queries}
+    checks = 0
+    for d in range(5):
+        expected = {q: sorted((Match(i, x) for i, x in enumerate(row) if x <= d),
+                              key=lambda m: (m.distance, m.word_id))
+                    for q, row in distances.items()}
+        for m in (None, *range(d + 1, 8)):
             idx = FastSSIndex.build(dictionary, IndexParams(d, m))
             for q in queries:
-                assert idx.search(q) == naive(dictionary, q, d), (q, d, m)
+                assert idx.search(q) == expected[q], (q, d, m)
+                checks += 1
+    assert checks == 30_690
 
 
 def test_repeated_queries_are_deterministic():
