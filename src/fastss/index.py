@@ -7,13 +7,23 @@ candidates with one bit-vector edit-distance verifier per query. Words
 longer than the splitting threshold are instead split in half and each
 half is indexed with half the error budget, which shrinks the index
 dramatically while queries compensate by probing several split positions.
+
+The posting table is three flat, read-only numpy arrays: the sorted
+distinct keys, offsets into the id array, and the word ids of each key in
+ascending order. A build collects (key, word id) pairs in word order and
+makes one stable sort by key; a query looks all its distinct keys up with
+one binary search. The v1 file stores the same table key by key, and is
+written and read with array operations plus one walk over its id counts.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .distance import edit_distance_verifier
 from .neighborhood import HalfTag, residual_keys
@@ -165,16 +175,25 @@ def split_positions(length: int, max_distance: int) -> list[int]:
 
 class FastSSIndex:
     """Immutable residual-key index bound to the dictionary it was built
-    from. Build once, then query from any number of threads."""
+    from. Build once, then query from any number of threads.
 
-    __slots__ = ("_dictionary", "_params", "_table", "_stats", "_longest")
+    The posting table is three read-only arrays: ``_keys``, the sorted
+    distinct keys (uint64); ``_offsets`` (int64, one more than the keys);
+    and ``_ids`` (uint32), where ``_ids[_offsets[i]:_offsets[i + 1]]`` are
+    the ascending ids of the words that have key ``_keys[i]``.
+    """
+
+    __slots__ = ("_dictionary", "_params", "_keys", "_offsets", "_ids", "_longest")
 
     def __init__(self, dictionary: Dictionary, params: IndexParams,
-                 table: dict[int, list[int]], stats: IndexStats):
+                 keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray):
+        for column in (keys, offsets, ids):
+            column.flags.writeable = False
         self._dictionary = dictionary
         self._params = params
-        self._table = table
-        self._stats = stats
+        self._keys = keys
+        self._offsets = offsets
+        self._ids = ids
         self._longest = max(map(len, dictionary), default=0)
 
     @classmethod
@@ -184,23 +203,25 @@ class FastSSIndex:
         d = params.max_distance
         m = params.split_threshold
         half = params.half_budget
-        table: dict[int, list[int]] = {}
-        stored = 0
-        for word_id, word in enumerate(dictionary):
+        all_keys = array("Q")
+        counts = array("q")
+        for word in dictionary:
             if m is None or len(word) <= m:
                 keys = residual_keys(word, d, HalfTag.WHOLE)
             else:
                 prefix, suffix = split_word(word)
                 keys = residual_keys(prefix, half, HalfTag.PREFIX)
                 keys |= residual_keys(suffix, half, HalfTag.SUFFIX)
-            stored += len(keys)
-            for key in keys:
-                ids = table.get(key)
-                if ids is None:
-                    table[key] = [word_id]
-                else:
-                    ids.append(word_id)
-        return cls(dictionary, params, table, IndexStats(stored, len(table)))
+            all_keys.extend(keys)
+            counts.append(len(keys))
+        keys = np.frombuffer(all_keys, dtype=np.uint64)
+        ids = np.repeat(np.arange(len(dictionary), dtype=np.uint32), counts)
+        # A stable sort keeps each key's ids in word order, which is ascending.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.flatnonzero(_run_starts(keys))
+        offsets = np.append(first, len(keys)).astype(np.int64)
+        return cls(dictionary, params, keys[first], offsets, ids[order])
 
     @property
     def dictionary(self) -> Dictionary:
@@ -212,7 +233,7 @@ class FastSSIndex:
 
     @property
     def stats(self) -> IndexStats:
-        return self._stats
+        return IndexStats(len(self._ids), len(self._keys))
 
     def candidates(self, query: str) -> set[int]:
         """Word ids sharing at least one residual key with the query.
@@ -221,16 +242,19 @@ class FastSSIndex:
         query; hash collisions may add extras, which verification removes.
         Raises TypeError for a query that is not a ``str``.
         """
+        return set(self._candidate_ids(query))
+
+    def _candidate_ids(self, query: str) -> list[int]:
+        """The ids of ``candidates``, each once, in ascending order."""
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
         d = self._params.max_distance
         m = self._params.split_threshold
-        found: set[int] = set()
 
         # No word matches a query more than d characters longer than the
         # longest word, so such a query costs nothing to enumerate.
-        if len(query) > self._longest + d:
-            return found
+        if len(query) > self._longest + d or not len(self._keys):
+            return []
 
         keys: set[int] = set()
         # Whole-word probe: an unsplit word has length <= m, so a match
@@ -246,46 +270,52 @@ class FastSSIndex:
                 keys |= residual_keys(query[:cut], half, HalfTag.PREFIX)
                 keys |= residual_keys(query[cut:], half, HalfTag.SUFFIX)
 
-        table = self._table
-        for key in keys:
-            ids = table.get(key)
-            if ids is not None:
-                found.update(ids)
-        return found
+        probes = np.fromiter(keys, dtype=np.uint64, count=len(keys))
+        rows = self._keys.searchsorted(probes)
+        rows = rows[self._keys.take(rows, mode="clip") == probes]
+        starts = self._offsets[rows]
+        lengths = self._offsets[rows + 1] - starts
+        # The hit postings run after run: the i-th of them is _ids[i + shift],
+        # where shift is its run's start minus the ids of the runs before.
+        shifts = np.repeat(starts - (lengths.cumsum() - lengths), lengths)
+        ids = np.sort(self._ids[np.arange(len(shifts)) + shifts])
+        return ids[_run_starts(ids)].tolist()
 
     def search(self, query: str) -> list[Match]:
         """All dictionary words within ``max_distance`` of the query,
         sorted by (distance, word id). Exactly the naive-scan result set.
         Raises TypeError for a query that is not a ``str``."""
-        found = self.candidates(query)
+        ids = self._candidate_ids(query)
         verify = edit_distance_verifier(query, self._params.max_distance)
-        words = self._dictionary
-        matches = []
-        for word_id in found:
-            distance = verify(words[word_id])
-            if distance is not None:
-                matches.append(Match(word_id, distance))
-        matches.sort(key=lambda match: (match.distance, match.word_id))
+        distances = map(verify, map(self._dictionary.words.__getitem__, ids))
+        matches = [Match(word_id, distance)
+                   for word_id, distance in zip(ids, distances) if distance is not None]
+        # The ids ascend, and a stable sort keeps them so within a distance.
+        matches.sort(key=lambda match: match.distance)
         return matches
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FastSSIndex)
                 and self._dictionary == other._dictionary
                 and self._params == other._params
-                and self._table == other._table)
+                and np.array_equal(self._keys, other._keys)
+                and np.array_equal(self._offsets, other._offsets)
+                and np.array_equal(self._ids, other._ids))
 
     def __repr__(self) -> str:
         return (f"FastSSIndex(d={self._params.max_distance}, "
                 f"m={self._params.split_threshold}, "
                 f"words={len(self._dictionary)}, "
-                f"pairs={self._stats.stored_pairs})")
+                f"pairs={len(self._ids)})")
 
     # -- on-disk format ----------------------------------------------------
     #
     # Little-endian:  magic "FSSI" | version u16 | d u8 | m u32 (0xFFFFFFFF
     # = never split) | word count u32 | words as (u16 UTF-8 byte length,
-    # bytes) | distinct key count u64 | per key: key u64, id count u32,
-    # ascending u32 word ids.
+    # bytes) | distinct key count u64 | per key, strictly ascending: key
+    # u64, id count u32, ascending u32 word ids. Every entry is a whole
+    # number of u32 words, so all entries are written and read as one u32
+    # array (see _body_layout).
 
     def to_bytes(self) -> bytes:
         d = self._params.max_distance
@@ -305,11 +335,15 @@ class FastSSIndex:
                 raise ValueError(f"word too long for file format: {word[:32]!r}...")
             out += struct.pack("<H", len(encoded))
             out += encoded
-        out += struct.pack("<Q", len(self._table))
-        for key in sorted(self._table):
-            ids = self._table[key]
-            out += struct.pack("<QI", key, len(ids))
-            out += struct.pack(f"<{len(ids)}I", *ids)
+        out += struct.pack("<Q", len(self._keys))
+        entries, postings = _body_layout(self._offsets)
+        body = np.empty(len(entries) * 3 + len(postings), dtype="<u4")
+        halves = self._keys.astype("<u8").view("<u4")
+        body[entries] = halves[0::2]
+        body[entries + 1] = halves[1::2]
+        body[entries + 2] = np.diff(self._offsets)
+        body[postings] = self._ids
+        out += body.tobytes()
         return bytes(out)
 
     @classmethod
@@ -325,7 +359,8 @@ class FastSSIndex:
         try:
             params = IndexParams(d, m)
         except ValueError as exc:
-            raise IndexFormatError(f"invalid parameters in header: {exc}") from exc
+            raise IndexFormatError(
+                f"invalid parameters in header at byte 6: {exc}") from exc
 
         (word_count,) = reader.unpack("<I", "word count")
         words = []
@@ -341,31 +376,79 @@ class FastSSIndex:
         try:
             dictionary = Dictionary(words)
         except ValueError as exc:
-            raise IndexFormatError(f"invalid dictionary: {exc}") from exc
+            raise IndexFormatError(
+                f"invalid dictionary (words end at byte {reader.offset}): {exc}") from exc
 
         (key_count,) = reader.unpack("<Q", "key count")
-        table: dict[int, list[int]] = {}
-        stored = 0
-        for k in range(key_count):
-            key, id_count = reader.unpack("<QI", f"entry {k}")
-            ids = list(reader.unpack(f"<{id_count}I", f"ids of entry {k}"))
-            if key in table:
-                raise IndexFormatError(f"duplicate key {key:#x} in entry {k}")
-            previous = -1
-            for word_id in ids:
-                if word_id >= word_count:
-                    raise IndexFormatError(
-                        f"word id {word_id} out of range in entry {k}")
-                if word_id <= previous:
-                    raise IndexFormatError(
-                        f"word ids not strictly ascending in entry {k}")
-                previous = word_id
-            table[key] = ids
-            stored += id_count
-        if reader.offset != len(data):
+        start = end = reader.offset
+        if key_count * 12 > len(data) - start:
             raise IndexFormatError(
-                f"{len(data) - reader.offset} trailing bytes at byte {reader.offset}")
-        return cls(dictionary, params, table, IndexStats(stored, len(table)))
+                f"key count {key_count} at byte {start - 8} needs at least "
+                f"{key_count * 12} bytes, {len(data) - start} remain")
+        # One walk over the id counts finds where each entry ends.
+        counts = array("q")
+        count_at = struct.Struct("<I").unpack_from
+        for k in range(key_count):
+            if end + 12 > len(data):
+                raise IndexFormatError(f"truncated while reading entry {k} at byte {end}")
+            (count,) = count_at(data, end + 8)
+            counts.append(count)
+            end += 12 + 4 * count
+            if end > len(data):
+                raise IndexFormatError(
+                    f"truncated while reading ids of entry {k} at byte {end - 4 * count}")
+        if end != len(data):
+            raise IndexFormatError(f"{len(data) - end} trailing bytes at byte {end}")
+
+        offsets = np.zeros(key_count + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(counts, dtype=np.int64), out=offsets[1:])
+        entries, postings = _body_layout(offsets)
+        body = np.frombuffer(data, dtype="<u4", count=(end - start) // 4, offset=start)
+        keys = (body[entries].astype(np.uint64)
+                | body[entries + 1].astype(np.uint64) << np.uint64(32))
+        ids = body[postings].astype(np.uint32)
+
+        def at(position) -> int:  # byte offset of a u32 of the body
+            return start + 4 * int(position)
+
+        descending = np.flatnonzero(keys[1:] <= keys[:-1])
+        if descending.size:
+            k = descending[0] + 1
+            raise IndexFormatError(
+                f"key of entry {k} not above the previous key at byte {at(entries[k])}")
+        out_of_range = np.flatnonzero(ids >= word_count)
+        if out_of_range.size:
+            i = out_of_range[0]
+            raise IndexFormatError(
+                f"word id {ids[i]} out of range in entry "
+                f"{offsets.searchsorted(i, side='right') - 1} at byte {at(postings[i])}")
+        # Neighbouring postings of one entry are neighbouring u32 words.
+        unordered = np.flatnonzero((ids[1:] <= ids[:-1]) & (np.diff(postings) == 1))
+        if unordered.size:
+            i = unordered[0] + 1
+            raise IndexFormatError(
+                f"word ids not strictly ascending in entry "
+                f"{offsets.searchsorted(i, side='right') - 1} at byte {at(postings[i])}")
+        return cls(dictionary, params, keys, offsets, ids)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one
+    before them: the first of each run of equal values."""
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+def _body_layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the v1 file puts the posting table, counted in u32 words from
+    the first entry: the start of each entry, and each posting. Entry k is
+    its key (two words), its id count and its ids, so it starts at
+    3 * k + offsets[k], and its postings follow one after another."""
+    key_count = len(offsets) - 1
+    entry_of = np.repeat(np.arange(key_count), np.diff(offsets))
+    entries = 3 * np.arange(key_count) + offsets[:-1]
+    return entries, np.arange(len(entry_of)) + 3 * (entry_of + 1)
 
 
 class IndexFormatError(ValueError):

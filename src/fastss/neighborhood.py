@@ -3,12 +3,14 @@
 A residual of a word is what remains after deleting some character
 positions. Two words within edit distance d always share a residual
 reachable with at most d deletions from each side, so hashed residuals
-make a lossless filter key. Residual strings are never stored: each one is
-reduced to a 64-bit FNV-1a hash of a tag byte followed by its UTF-8 bytes.
-The tag byte keeps keys of whole words, prefix halves and suffix halves in
-disjoint key spaces.
+make a lossless filter key. Each residual is reduced to a 64-bit FNV-1a
+hash of a tag byte followed by its UTF-8 bytes. The tag byte keeps keys
+of whole words, prefix halves and suffix halves in disjoint key spaces.
 
-The hash is part of the index file format and must stay bit-stable.
+``residual_keys`` computes those hashes in one pass over the word without
+building residual strings; ``full_neighborhood`` enumerates the strings
+themselves and is the reference it is tested against. The hash is part of
+the index file format and must stay bit-stable.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from enum import IntEnum
 __all__ = [
     "HalfTag",
     "full_neighborhood",
-    "hash_residual",
     "residual_keys",
 ]
 
@@ -53,16 +54,40 @@ def full_neighborhood(word: str, max_deletions: int) -> set[str]:
     return out
 
 
-def hash_residual(tag: HalfTag, residual: str) -> int:
-    """64-bit FNV-1a over the tag byte followed by the residual's UTF-8
-    bytes. Deterministic and bit-stable; serialized index files depend on
-    it."""
-    h = ((_FNV_OFFSET ^ tag) * _FNV_PRIME) & _MASK64
-    for byte in residual.encode("utf-8"):
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
-
-
 def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
-    """Hashed keys of the full deletion neighborhood of ``word``."""
-    return {hash_residual(tag, r) for r in full_neighborhood(word, max_deletions)}
+    """Hashed keys of the full deletion neighborhood of ``word``: the
+    64-bit FNV-1a hash of the tag byte followed by each residual's UTF-8
+    bytes. Deterministic and bit-stable; index files depend on it.
+
+    Computed in one pass over the word, without building residual strings.
+    ``h`` is the hash state of the prefix read so far, and ``deleted[j - 1]``
+    holds the states of that prefix's residuals with ``j`` deletions. Each
+    character advances every state over its bytes (the character kept),
+    and the states with ``j`` deletions also take those with ``j - 1`` from
+    before the character (the character deleted). Prefixes with equal
+    states hash every continuation alike, so merging them loses no key: the
+    result is exactly the set of hashes of ``full_neighborhood(word,
+    max_deletions)``.
+    """
+    if max_deletions < 0:
+        raise ValueError("max_deletions must be non-negative")
+    prime, mask = _FNV_PRIME, _MASK64
+    h = ((_FNV_OFFSET ^ tag) * prime) & mask
+    deleted: list[set[int]] = []
+    for char in word:
+        data = char.encode("utf-8")
+        if len(deleted) < max_deletions:
+            deleted.append(set())
+        # Highest level first, so that the level below is still the old one.
+        for j in range(len(deleted) - 1, -1, -1):
+            states = deleted[j]
+            for byte in data:
+                states = {((s ^ byte) * prime) & mask for s in states}
+            if j:
+                states |= deleted[j - 1]
+            else:
+                states.add(h)
+            deleted[j] = states
+        for byte in data:
+            h = ((h ^ byte) * prime) & mask
+    return set().union((h,), *deleted)

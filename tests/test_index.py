@@ -109,6 +109,21 @@ def test_table_id_lists_sorted_unique():
     assert FastSSIndex.from_bytes(idx.to_bytes()) == idx
 
 
+def test_posting_arrays_are_read_only():
+    # Immutable after build, and after load: an in-place write to any of
+    # the three posting arrays raises instead of corrupting the index.
+    idx = FastSSIndex.build(Dictionary(["abc", "abd", "xyz"]), IndexParams(1))
+    for index in (idx, FastSSIndex.from_bytes(idx.to_bytes())):
+        for array in (index._keys, index._offsets, index._ids):
+            with pytest.raises(ValueError):
+                array[0] = 0
+            with pytest.raises(ValueError):
+                array += 1
+            with pytest.raises(ValueError):
+                array.sort()
+    assert idx.search("abc") == [Match(0, 0), Match(1, 1)]
+
+
 def test_candidates_contain_exact_word():
     rng = random.Random(13)
     words = random_unique_words(rng, 50, 1, 12)

@@ -4,11 +4,11 @@ from math import comb
 
 import pytest
 
+from fastss.bench import bundled_words_path, load_dictionary
 from fastss.distance import full_edit_distance
 from fastss.neighborhood import (
     HalfTag,
     full_neighborhood,
-    hash_residual,
     residual_keys,
 )
 from helpers import perturb_word, random_word
@@ -108,39 +108,70 @@ def test_neighborhood_elements_are_subsequences():
     assert all(w in full_neighborhood(w, d) for w in ("", "a", "abc") for d in (0, 2))
 
 
+def fnv1a(data: bytes) -> int:
+    """64-bit FNV-1a, written out independently of the library."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 def test_hash_residual_fnv_reference_values():
     # FNV-1a 64 reference vectors (offset 0xCBF29CE484222325, prime
     # 0x100000001B3), recomputed by hand for the tagged encoding:
     # WHOLE + "" hashes the single byte 0x00.
-    assert hash_residual(HalfTag.WHOLE, "") == 0xAF63BD4C8601B7DF
+    assert residual_keys("", 0, HalfTag.WHOLE) == {0xAF63BD4C8601B7DF}
 
     # Anchor the FNV core against published vectors, then check the tagged
-    # encoding against an independent inline implementation.
-    def fnv1a(data: bytes) -> int:
-        h = 0xCBF29CE484222325
-        for byte in data:
-            h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        return h
-
+    # encoding against the independent inline implementation.
     assert fnv1a(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a(b"foobar") == 0x85944171F73967E8
-    assert hash_residual(HalfTag.WHOLE, "a") == fnv1a(b"\x00a")
-    assert hash_residual(HalfTag.PREFIX, "a") == fnv1a(b"\x01a")
-    assert hash_residual(HalfTag.SUFFIX, "a") == fnv1a(b"\x02a")
+    assert residual_keys("a", 0, HalfTag.WHOLE) == {fnv1a(b"\x00a")}
+    assert residual_keys("a", 0, HalfTag.PREFIX) == {fnv1a(b"\x01a")}
+    assert residual_keys("a", 0, HalfTag.SUFFIX) == {fnv1a(b"\x02a")}
 
 
 def test_hash_residual_deterministic_and_tagged():
-    assert hash_residual(HalfTag.WHOLE, "res") == hash_residual(HalfTag.WHOLE, "res")
-    keys = {hash_residual(tag, "a") for tag in HalfTag}
+    assert residual_keys("res", 0, HalfTag.WHOLE) == residual_keys("res", 0, HalfTag.WHOLE)
+    keys = set().union(*(residual_keys("a", 0, tag) for tag in HalfTag))
     assert len(keys) == 3
-    assert hash_residual(HalfTag.PREFIX, "a") != hash_residual(HalfTag.SUFFIX, "a")
+    assert residual_keys("a", 0, HalfTag.PREFIX) != residual_keys("a", 0, HalfTag.SUFFIX)
 
 
 def test_hash_residual_utf8_bytes():
     # Non-ASCII residuals hash their UTF-8 encoding, not code points.
-    assert hash_residual(HalfTag.WHOLE, "ü") != hash_residual(HalfTag.WHOLE, "u")
-    assert isinstance(hash_residual(HalfTag.WHOLE, "münchen"), int)
-    assert 0 <= hash_residual(HalfTag.WHOLE, "münchen") < (1 << 64)
+    assert residual_keys("ü", 0, HalfTag.WHOLE) != residual_keys("u", 0, HalfTag.WHOLE)
+    assert residual_keys("ü", 0, HalfTag.WHOLE) == {fnv1a(b"\x00\xc3\xbc")}
+    (key,) = residual_keys("münchen", 0, HalfTag.WHOLE)
+    assert key == fnv1a(b"\x00" + "münchen".encode("utf-8"))
+    assert 0 <= key < (1 << 64)
+
+
+def test_residual_keys_rejects_negative_budget():
+    # The one-pass form would otherwise return the whole-word key alone.
+    for word in ("", "abc"):
+        with pytest.raises(ValueError):
+            residual_keys(word, -1, HalfTag.WHOLE)
+
+
+def test_residual_keys_match_hashed_neighborhood():
+    # The one-pass keys equal FNV-1a over every residual of the enumerator,
+    # for every budget 0..4 and tag. Repeated characters in {a,b} words
+    # merge hash states; the last inputs have 2-, 3- and 4-byte characters.
+    words = list(load_dictionary(bundled_words_path()).words[:3000])
+    rng = random.Random(8)
+    # 20k draws give 4,141 distinct {a,b} words; each is checked once.
+    words += sorted({random_word(rng, 0, 12, alphabet="ab") for _ in range(20_000)})
+    words += ["münchen", "straße", "a\U0001F600b\U0001F600", "€uro"]
+    for word in words:
+        # A residual with j deletions has len(word) - j characters, so the
+        # budget-4 residuals hold those of every smaller budget.
+        residuals = [(len(r), r.encode("utf-8")) for r in full_neighborhood(word, 4)]
+        for tag in HalfTag:
+            hashed = [(length, fnv1a(bytes([tag]) + r)) for length, r in residuals]
+            for k in range(5):
+                expected = {h for length, h in hashed if length >= len(word) - k}
+                assert residual_keys(word, k, tag) == expected, (word, k, tag)
 
 
 def test_residual_keys_counts():
