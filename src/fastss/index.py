@@ -12,8 +12,8 @@ The posting table is three flat, read-only numpy arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
 ascending order. A build collects (key, word id) pairs in word order and
 makes one stable sort by key; a query looks all its distinct keys up with
-one binary search. The v1 file stores the same table key by key, and is
-written and read with array operations plus one walk over its id counts.
+one binary search. The file stores the same three arrays back to back,
+so it is written and read with one array operation each.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 
 UNBOUNDED_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"FSSI"
-_VERSION = 1
+_VERSION = 2
 
 
 class Dictionary:
@@ -312,10 +312,9 @@ class FastSSIndex:
     #
     # Little-endian:  magic "FSSI" | version u16 | d u8 | m u32 (0xFFFFFFFF
     # = never split) | word count u32 | words as (u16 UTF-8 byte length,
-    # bytes) | distinct key count u64 | per key, strictly ascending: key
-    # u64, id count u32, ascending u32 word ids. Every entry is a whole
-    # number of u32 words, so all entries are written and read as one u32
-    # array (see _body_layout).
+    # bytes) | distinct key count K u64 | the posting table as its three
+    # arrays: K strictly ascending u64 keys, K u32 id counts, and all word
+    # ids as u32, ascending within each key, in key order.
 
     def to_bytes(self) -> bytes:
         d = self._params.max_distance
@@ -336,14 +335,9 @@ class FastSSIndex:
             out += struct.pack("<H", len(encoded))
             out += encoded
         out += struct.pack("<Q", len(self._keys))
-        entries, postings = _body_layout(self._offsets)
-        body = np.empty(len(entries) * 3 + len(postings), dtype="<u4")
-        halves = self._keys.astype("<u8").view("<u4")
-        body[entries] = halves[0::2]
-        body[entries + 1] = halves[1::2]
-        body[entries + 2] = np.diff(self._offsets)
-        body[postings] = self._ids
-        out += body.tobytes()
+        out += self._keys.astype("<u8").tobytes()
+        out += np.diff(self._offsets).astype("<u4").tobytes()
+        out += self._ids.astype("<u4").tobytes()
         return bytes(out)
 
     @classmethod
@@ -380,55 +374,48 @@ class FastSSIndex:
                 f"invalid dictionary (words end at byte {reader.offset}): {exc}") from exc
 
         (key_count,) = reader.unpack("<Q", "key count")
-        start = end = reader.offset
-        if key_count * 12 > len(data) - start:
+        keys_at = reader.offset
+        if key_count * 12 > len(data) - keys_at:
             raise IndexFormatError(
-                f"key count {key_count} at byte {start - 8} needs at least "
-                f"{key_count * 12} bytes, {len(data) - start} remain")
-        # One walk over the id counts finds where each entry ends.
-        counts = array("q")
-        count_at = struct.Struct("<I").unpack_from
-        for k in range(key_count):
-            if end + 12 > len(data):
-                raise IndexFormatError(f"truncated while reading entry {k} at byte {end}")
-            (count,) = count_at(data, end + 8)
-            counts.append(count)
-            end += 12 + 4 * count
-            if end > len(data):
-                raise IndexFormatError(
-                    f"truncated while reading ids of entry {k} at byte {end - 4 * count}")
-        if end != len(data):
-            raise IndexFormatError(f"{len(data) - end} trailing bytes at byte {end}")
-
+                f"key count {key_count} at byte {keys_at - 8} needs at least "
+                f"{key_count * 12} bytes, {len(data) - keys_at} remain")
+        counts_at = keys_at + 8 * key_count
+        ids_at = counts_at + 4 * key_count
+        # Copies into native arrays, so queries never read the unaligned file.
+        keys = np.frombuffer(data, "<u8", key_count, keys_at).astype(np.uint64)
         offsets = np.zeros(key_count + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(counts, dtype=np.int64), out=offsets[1:])
-        entries, postings = _body_layout(offsets)
-        body = np.frombuffer(data, dtype="<u4", count=(end - start) // 4, offset=start)
-        keys = (body[entries].astype(np.uint64)
-                | body[entries + 1].astype(np.uint64) << np.uint64(32))
-        ids = body[postings].astype(np.uint32)
-
-        def at(position) -> int:  # byte offset of a u32 of the body
-            return start + 4 * int(position)
+        np.cumsum(np.frombuffer(data, "<u4", key_count, counts_at), dtype=np.int64,
+                  out=offsets[1:])
+        end = ids_at + 4 * int(offsets[-1])
+        if end > len(data):
+            # The first key whose ids end past the data.
+            k = int(offsets.searchsorted((len(data) - ids_at) // 4, side="right")) - 1
+            raise IndexFormatError(
+                f"truncated while reading ids of key {k}: its id count at byte "
+                f"{counts_at + 4 * k} runs past the end at byte {len(data)}")
+        if end < len(data):
+            raise IndexFormatError(f"{len(data) - end} trailing bytes at byte {end}")
+        ids = np.frombuffer(data, "<u4", int(offsets[-1]), ids_at).astype(np.uint32)
 
         descending = np.flatnonzero(keys[1:] <= keys[:-1])
         if descending.size:
             k = descending[0] + 1
             raise IndexFormatError(
-                f"key of entry {k} not above the previous key at byte {at(entries[k])}")
+                f"key {k} not above the previous key at byte {keys_at + 8 * k}")
         out_of_range = np.flatnonzero(ids >= word_count)
         if out_of_range.size:
             i = out_of_range[0]
             raise IndexFormatError(
-                f"word id {ids[i]} out of range in entry "
-                f"{offsets.searchsorted(i, side='right') - 1} at byte {at(postings[i])}")
-        # Neighbouring postings of one entry are neighbouring u32 words.
-        unordered = np.flatnonzero((ids[1:] <= ids[:-1]) & (np.diff(postings) == 1))
+                f"word id {ids[i]} out of range in key "
+                f"{offsets.searchsorted(i, side='right') - 1} at byte {ids_at + 4 * i}")
+        key_starts = np.zeros(len(ids) + 1, dtype=bool)
+        key_starts[offsets] = True
+        unordered = np.flatnonzero((ids[1:] <= ids[:-1]) & ~key_starts[1:-1])
         if unordered.size:
             i = unordered[0] + 1
             raise IndexFormatError(
-                f"word ids not strictly ascending in entry "
-                f"{offsets.searchsorted(i, side='right') - 1} at byte {at(postings[i])}")
+                f"word ids not strictly ascending in key "
+                f"{offsets.searchsorted(i, side='right') - 1} at byte {ids_at + 4 * i}")
         return cls(dictionary, params, keys, offsets, ids)
 
 
@@ -438,17 +425,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     first = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return first
-
-
-def _body_layout(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the v1 file puts the posting table, counted in u32 words from
-    the first entry: the start of each entry, and each posting. Entry k is
-    its key (two words), its id count and its ids, so it starts at
-    3 * k + offsets[k], and its postings follow one after another."""
-    key_count = len(offsets) - 1
-    entry_of = np.repeat(np.arange(key_count), np.diff(offsets))
-    entries = 3 * np.arange(key_count) + offsets[:-1]
-    return entries, np.arange(len(entry_of)) + 3 * (entry_of + 1)
 
 
 class IndexFormatError(ValueError):

@@ -1,8 +1,9 @@
-"""The v1 index file: pinned writer output, and a reader that names the byte
-of every format error and accepts only blobs it would write back as they are."""
+"""The index file: pinned writer output, and a reader that names the byte of
+every format error and accepts only blobs it would write back as they are."""
 
 import hashlib
 import struct
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,34 @@ from fastss.bench import bundled_words_path, load_dictionary
 from fastss.index import Dictionary, FastSSIndex, IndexFormatError, IndexParams
 
 
-def layout(blob: bytes) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
-    """Read a v1 blob by hand: the byte offset of the key count, and each
-    entry as (byte offset, key, ids)."""
+class Table(NamedTuple):
+    """The posting table of a blob as read by hand: where its key count
+    sits, and its three arrays."""
+
+    key_count_at: int
+    keys: tuple[int, ...]
+    counts: tuple[int, ...]
+    ids: tuple[int, ...]
+
+    @property
+    def keys_at(self) -> int:
+        return self.key_count_at + 8
+
+    @property
+    def counts_at(self) -> int:
+        return self.keys_at + 8 * len(self.keys)
+
+    @property
+    def ids_at(self) -> int:
+        return self.counts_at + 4 * len(self.keys)
+
+    def first_id_at(self, k: int) -> int:
+        """Byte offset of the first id of key k."""
+        return self.ids_at + 4 * sum(self.counts[:k])
+
+
+def layout(blob: bytes) -> Table:
+    """Read the three sections of the posting table of a blob by hand."""
     (word_count,) = struct.unpack_from("<I", blob, 11)
     pos = 15
     for _ in range(word_count):
@@ -22,71 +48,76 @@ def layout(blob: bytes) -> tuple[int, list[tuple[int, int, tuple[int, ...]]]]:
         pos += 2 + length
     key_count_at = pos
     (key_count,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
-    entries = []
-    for _ in range(key_count):
-        key, count = struct.unpack_from("<QI", blob, pos)
-        entries.append((pos, key, struct.unpack_from(f"<{count}I", blob, pos + 12)))
-        pos += 12 + 4 * count
-    assert pos == len(blob)
-    return key_count_at, entries
+    keys = struct.unpack_from(f"<{key_count}Q", blob, pos + 8)
+    counts = struct.unpack_from(f"<{key_count}I", blob, pos + 8 + 8 * key_count)
+    ids = struct.unpack_from(f"<{sum(counts)}I", blob, pos + 8 + 12 * key_count)
+    table = Table(key_count_at, keys, counts, ids)
+    assert table.ids_at + 4 * len(ids) == len(blob)
+    return table
 
 
 def small_blob() -> bytes:
-    # "abc" and "abd" share the residual "ab", so one entry holds two ids.
+    # "abc" and "abd" share the residual "ab", so one key holds two ids.
     return FastSSIndex.build(Dictionary(["abc", "abd", "xyz"]), IndexParams(1)).to_bytes()
 
 
-def shared_entry(blob: bytes) -> int:
-    """Byte offset of the first entry with more than one id."""
-    return next(pos for pos, _key, ids in layout(blob)[1] if len(ids) > 1)
+def shared_key(table: Table) -> int:
+    """The first key with more than one id."""
+    return next(k for k, count in enumerate(table.counts) if count > 1)
 
 
-def test_v1_bytes_of_bundled_list_are_pinned():
-    # Digests of the files written before the posting table became flat
-    # arrays: the format must not move by a single byte.
+def test_file_bytes_of_bundled_list_are_pinned():
+    # Each key costs 12 bytes and each id 4, as in version 1, so the
+    # lengths are those of the version 1 files.
     dictionary = load_dictionary(bundled_words_path())
-    for params, digest in [
-        (IndexParams(2), "e6178baed22831ff916d8c3cee22856daa3e562a9d028cc05e4179047c6379fa"),
-        (IndexParams(3, 7), "56cf5e0cc516ddb776e12fa3c7d33c6d286be7d2dbf3c4001f3764643c14afbd"),
+    for params, length, digest in [
+        (IndexParams(2), 9_419_874,
+         "b09c45b1dc1f77f716b92eb7ce52fa74b48132ddc13dc3f3e367ceea5ffa81f6"),
+        (IndexParams(3, 7), 5_360_210,
+         "8276c560b26f7a5a527ec347e65230ff752ea0070aa1f724691e5b241d8ef0bc"),
     ]:
         blob = FastSSIndex.build(dictionary, params).to_bytes()
+        assert len(blob) == length, params
         assert hashlib.sha256(blob).hexdigest() == digest, params
 
 
 def test_word_id_out_of_range_names_its_byte():
     blob = bytearray(small_blob())
-    pos, _key, _ids = layout(blob)[1][0]
-    struct.pack_into("<I", blob, pos + 12, 3)  # three words: ids 0..2
-    with pytest.raises(IndexFormatError, match=rf"word id 3 out of range .* at byte {pos + 12}$"):
+    at = layout(blob).ids_at
+    struct.pack_into("<I", blob, at, 3)  # three words: ids 0..2
+    with pytest.raises(IndexFormatError, match=rf"word id 3 out of range .* at byte {at}$"):
         FastSSIndex.from_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize("first, second", [(1, 0), (0, 0)], ids=["descending", "repeated"])
 def test_word_ids_not_ascending_name_their_byte(first, second):
     blob = bytearray(small_blob())
-    pos = shared_entry(blob)
-    struct.pack_into("<2I", blob, pos + 12, first, second)
-    with pytest.raises(IndexFormatError, match=rf"not strictly ascending .* at byte {pos + 16}$"):
+    table = layout(blob)
+    k = shared_key(table)
+    at = table.first_id_at(k)
+    struct.pack_into("<2I", blob, at, first, second)
+    with pytest.raises(IndexFormatError,
+                       match=rf"not strictly ascending in key {k} at byte {at + 4}$"):
         FastSSIndex.from_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize("change", ["swapped", "duplicated"])
 def test_keys_not_ascending_name_their_byte(change):
     blob = bytearray(small_blob())
-    entries = layout(blob)[1]
-    (pos0, key0, _), (pos1, key1, _) = entries[0], entries[1]
-    struct.pack_into("<Q", blob, pos1, key0)
+    table = layout(blob)
+    key0, key1 = table.keys[:2]
+    struct.pack_into("<Q", blob, table.keys_at + 8, key0)
     if change == "swapped":
-        struct.pack_into("<Q", blob, pos0, key1)
-    with pytest.raises(IndexFormatError, match=rf"not above the previous key at byte {pos1}$"):
+        struct.pack_into("<Q", blob, table.keys_at, key1)
+    with pytest.raises(IndexFormatError,
+                       match=rf"key 1 not above the previous key at byte {table.keys_at + 8}$"):
         FastSSIndex.from_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize("key_count", [2**64 - 1, 2**40])
 def test_inflated_key_count_rejected_before_reading_entries(key_count):
     blob = bytearray(small_blob())
-    at = layout(blob)[0]
+    at = layout(blob).key_count_at
     struct.pack_into("<Q", blob, at, key_count)
     with pytest.raises(IndexFormatError, match=rf"key count {key_count} at byte {at} needs"):
         FastSSIndex.from_bytes(bytes(blob))
@@ -94,30 +125,43 @@ def test_inflated_key_count_rejected_before_reading_entries(key_count):
 
 def test_key_count_one_too_many_is_truncation():
     blob = bytearray(small_blob())
-    at, entries = layout(blob)
-    struct.pack_into("<Q", blob, at, len(entries) + 1)
+    table = layout(blob)
+    key_count = len(table.keys) + 1
+    struct.pack_into("<Q", blob, table.key_count_at, key_count)
+    # The reader now takes the id counts from 8 bytes further on and the
+    # ids from 12 bytes further on; find the first count that overruns.
+    counts_at = table.keys_at + 8 * key_count
+    end = counts_at + 4 * key_count
+    for k, count in enumerate(struct.unpack_from(f"<{key_count}I", blob, counts_at)):
+        end += 4 * count
+        if end > len(blob):
+            break
+    else:
+        pytest.fail("the shifted counts fit the blob")
     with pytest.raises(IndexFormatError,
-                       match=rf"truncated while reading entry {len(entries)} at byte {len(blob)}$"):
+                       match=rf"truncated while reading ids of key {k}: its id count at "
+                             rf"byte {counts_at + 4 * k} runs past the end at byte {len(blob)}$"):
         FastSSIndex.from_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize("count", [0xFFFFFFFF, 2**30])
 def test_inflated_id_count_names_its_byte(count):
     blob = bytearray(small_blob())
-    pos, _key, _ids = layout(blob)[1][0]
-    struct.pack_into("<I", blob, pos + 8, count)
+    at = layout(blob).counts_at
+    struct.pack_into("<I", blob, at, count)
     with pytest.raises(IndexFormatError,
-                       match=rf"truncated while reading ids of entry 0 at byte {pos + 12}$"):
+                       match=rf"truncated while reading ids of key 0: its id count at "
+                             rf"byte {at} runs past the end at byte {len(blob)}$"):
         FastSSIndex.from_bytes(bytes(blob))
 
 
 def test_every_format_error_names_a_byte():
     # One blob per kind of damage, each reaching a different check.
     blob = small_blob()
-    at = layout(blob)[0]
+    at = layout(blob).key_count_at
     damaged = [blob[:3], blob[:20], blob + b"\x00", b"XXXX" + blob[4:]]
     # version, split threshold 0, an empty word, bad UTF-8, the key count
-    for offset, value in [(4, b"\x02\x00"), (7, b"\x00" * 4), (15, b"\x00\x00"),
+    for offset, value in [(4, b"\x01\x00"), (7, b"\x00" * 4), (15, b"\x00\x00"),
                           (17, b"\xff"), (at, b"\xff" * 8)]:
         damaged.append(blob[:offset] + value + blob[offset + len(value):])
     for bad in damaged:
@@ -136,9 +180,10 @@ BLOBS = [
 @st.composite
 def mutated_blobs(draw) -> bytes:
     """A small valid blob with one byte flipped, cut short, or a u32 or u64
-    overwritten with a larger count, at any offset or at a count field."""
+    overwritten with a larger count, at any offset or at a count field: the
+    word count, the key count or an id count."""
     blob = bytearray(draw(st.sampled_from(BLOBS)))
-    key_count_at, entries = layout(blob)
+    table = layout(blob)
     kind = draw(st.sampled_from(["flip", "truncate", "u32", "u64"]))
     if kind == "truncate":
         return bytes(blob[:draw(st.integers(0, len(blob) - 1))])
@@ -147,7 +192,8 @@ def mutated_blobs(draw) -> bytes:
         blob[pos] ^= draw(st.integers(1, 255))
         return bytes(blob)
     size, fmt = (4, "<I") if kind == "u32" else (8, "<Q")
-    counts = [11, key_count_at] + [pos + 8 for pos, _key, _ids in entries]
+    counts = [11, table.key_count_at] + [table.counts_at + 4 * k
+                                         for k in range(len(table.keys))]
     anywhere = st.integers(0, len(blob) - size)
     pos = draw(st.one_of(st.sampled_from([p for p in counts if p <= len(blob) - size]),
                          anywhere))
