@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="query an index file")
     p.add_argument("--index", required=True, help="index file from 'build'")
-    p.add_argument("--dict", required=True, help="the word list the index was built from")
     p.add_argument("--word", required=True, help="query word")
     p.set_defaults(handler=_cmd_query)
 
@@ -114,12 +113,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_query(args) -> int:
     index = FastSSIndex.from_bytes(Path(args.index).read_bytes())
-    dictionary = load_dictionary(args.dict)
-    if index.dictionary != dictionary:
-        raise ValueError(
-            f"index {args.index} was not built from dictionary {args.dict}")
     for match in index.search(args.word):
-        print(f"{dictionary[match.word_id]}\t{match.distance}")
+        print(f"{index.dictionary[match.word_id]}\t{match.distance}")
     return 0
 
 

@@ -4,9 +4,10 @@ queries.
 Every dictionary word contributes the hashed residuals of its deletion
 neighborhood; a query probes the same keys and verifies the surviving
 candidates with one bit-vector edit-distance verifier per query. Words
-longer than the splitting threshold are instead split in half and each
-half is indexed with half the error budget, which shrinks the index
-dramatically while queries compensate by probing several split positions.
+longer than the splitting threshold m are instead split in half and each
+half is indexed with half the error budget d: floor(d/2) edits once
+m >= 2d + 1, ceil(d/2) below that. This shrinks the index dramatically
+while queries compensate by probing several split positions.
 
 The posting table is three flat, read-only numpy arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
@@ -41,7 +42,7 @@ __all__ = [
 
 UNBOUNDED_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"FSSI"
-_VERSION = 2
+_VERSION = 3
 
 
 class Dictionary:
@@ -102,6 +103,10 @@ class IndexParams:
     (None: never split). A finite threshold must exceed ``max_distance``:
     otherwise queries shorter than 2 characters cannot probe any split
     position and matches for split words would be lost.
+
+    ``half_budget`` is the edit budget each half of a split word is indexed
+    and probed with: floor(d/2) when ``split_threshold`` >= 2d + 1, and
+    ceil(d/2) otherwise (see ``split_positions`` for why).
     """
 
     max_distance: int
@@ -122,7 +127,10 @@ class IndexParams:
     @property
     def half_budget(self) -> int:
         """Error budget for each half of a split word."""
-        return (self.max_distance + 1) // 2
+        d, m = self.max_distance, self.split_threshold
+        if m is not None and m >= 2 * d + 1:
+            return d // 2
+        return (d + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -157,12 +165,20 @@ def split_positions(length: int, max_distance: int) -> list[int]:
     halves change length by a = t - c and b = (len(q) - t) - (n - c), with
     |a| <= e1 and |b| <= e2. Rounding each ceil moves it by at most 1/2, so
     t - ceil(len(q)/2) lies within (a - b)/2 +/- 1/2; it is an integer of
-    size at most (d + 1)/2, hence at most ceil(d/2), and t is in the
-    window. One half is then within floor(d/2) <= ceil(d/2) edits, the
-    budget each half is indexed with. If the clamp excludes t (t is 0 or
-    len(q)), the probe at 1 or len(q) - 1 costs at most one edit more in
-    total, e1 + e2 <= d + 1, and one half is still within ceil(d/2). A
-    split word has n > m > d, so len(q) >= 2 and the window is non-empty.
+    size at most (d + 1)/2, hence at most ceil(d/2): the window's spread
+    bounds the cut, whatever budget the halves get. Unless the clamp
+    excludes it, t is in the window, and since e1 + e2 <= d one half is
+    within floor(d/2) edits at that probe.
+
+    The clamp excludes only t = 0 and t = len(q). A cut t = 0 leaves
+    q[:t] empty, so e1 = ceil(n/2) <= d; a cut t = len(q) forces
+    e2 = floor(n/2) <= d. A split word has n >= m + 1, so when
+    m >= 2d + 1 it has n >= 2d + 2 and neither cut is possible: every
+    optimal cut lies inside the window and floor(d/2) edits per half
+    suffice. Below that threshold the probe at 1 or len(q) - 1 costs at
+    most one edit more in total, e1 + e2 <= d + 1, and one half is within
+    ceil(d/2); ``IndexParams.half_budget`` picks the budget by this rule.
+    A split word has n > m > d, so len(q) >= 2 and the window is non-empty.
     """
     if length < 2:
         return []
@@ -314,7 +330,8 @@ class FastSSIndex:
     # = never split) | word count u32 | words as (u16 UTF-8 byte length,
     # bytes) | distinct key count K u64 | the posting table as its three
     # arrays: K strictly ascending u64 keys, K u32 id counts, and all word
-    # ids as u32, ascending within each key, in key order.
+    # ids as u32, ascending within each key, in key order. The version
+    # names the key set: it is determined by the words and (d, m).
 
     def to_bytes(self) -> bytes:
         d = self._params.max_distance

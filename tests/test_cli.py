@@ -29,8 +29,7 @@ def test_build_and_query(tmp_path, dict_file, capsys):
     restored = FastSSIndex.from_bytes(index_file.read_bytes())
     assert restored.dictionary.words == tuple(WORDS)
 
-    assert main(["query", "--index", str(index_file), "--dict", str(dict_file),
-                 "--word", "hellp"]) == 0
+    assert main(["query", "--index", str(index_file), "--word", "hellp"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["hello\t1"]
 
@@ -58,18 +57,6 @@ def test_build_rejects_bad_threshold(tmp_path, dict_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_query_rejects_mismatched_dictionary(tmp_path, dict_file, capsys):
-    index_file = tmp_path / "words.fssi"
-    main(["build", "--dict", str(dict_file), "--d", "1", "--no-split",
-          "--out", str(index_file)])
-    other = tmp_path / "other.txt"
-    other.write_text("completely\ndifferent\n")
-    code = main(["query", "--index", str(index_file), "--dict", str(other),
-                 "--word", "hello"])
-    assert code == 1
-    assert "not built from" in capsys.readouterr().err
-
-
 def test_query_rejects_corrupted_index(tmp_path, dict_file, capsys):
     index_file = tmp_path / "words.fssi"
     main(["build", "--dict", str(dict_file), "--d", "1", "--no-split",
@@ -77,8 +64,7 @@ def test_query_rejects_corrupted_index(tmp_path, dict_file, capsys):
     blob = bytearray(index_file.read_bytes())
     blob[0] ^= 0xFF
     index_file.write_bytes(bytes(blob))
-    code = main(["query", "--index", str(index_file), "--dict", str(dict_file),
-                 "--word", "hello"])
+    code = main(["query", "--index", str(index_file), "--word", "hello"])
     assert code == 1
     assert "magic" in capsys.readouterr().err
 

@@ -67,14 +67,15 @@ def shared_key(table: Table) -> int:
 
 
 def test_file_bytes_of_bundled_list_are_pinned():
-    # Each key costs 12 bytes and each id 4, as in version 1, so the
-    # lengths are those of the version 1 files.
+    # Each key costs 12 bytes and each id 4, as in versions 1 and 2. The
+    # unsplit file differs from version 2 only in its version field; at
+    # (3, 7) each split half is indexed with floor(3/2) = 1 edit, not 2.
     dictionary = load_dictionary(bundled_words_path())
     for params, length, digest in [
         (IndexParams(2), 9_419_874,
-         "b09c45b1dc1f77f716b92eb7ce52fa74b48132ddc13dc3f3e367ceea5ffa81f6"),
-        (IndexParams(3, 7), 5_360_210,
-         "8276c560b26f7a5a527ec347e65230ff752ea0070aa1f724691e5b241d8ef0bc"),
+         "0927f0455f26f5d80a88d4e322d8bb5db338f0403b9dfadad3470dd0fd56c95d"),
+        (IndexParams(3, 7), 4_206_742,
+         "cb57b5e7191bddcef8f89c813b485926d8c4a85c423c047bd21964c2ffcbdb6f"),
     ]:
         blob = FastSSIndex.build(dictionary, params).to_bytes()
         assert len(blob) == length, params

@@ -58,6 +58,10 @@ def test_params_validation():
     assert IndexParams(3).half_budget == 2
     assert IndexParams(4).half_budget == 2
     assert IndexParams(0).half_budget == 0
+    # floor(d/2) once split_threshold >= 2d + 1, ceil(d/2) below that.
+    for d, m, half in [(1, 2, 1), (1, 3, 0), (2, 5, 1), (3, 6, 2), (3, 7, 1),
+                       (5, 10, 3), (5, 11, 2), (3, None, 2)]:
+        assert IndexParams(d, m).half_budget == half, (d, m)
 
 
 def test_split_word():
@@ -204,7 +208,8 @@ def test_losslessness_with_empty_and_short_queries():
 
 def test_split_cover_property():
     # For any split word within distance d of a query, some probed split
-    # position matches one half within the halved budget.
+    # position matches one half within the halved budget: ceil(d/2) for
+    # any word, floor(d/2) for a word of length at least 2d + 2.
     rng = random.Random(17)
     for _ in range(400):
         w = random_word(rng, 2, 14)
@@ -213,7 +218,7 @@ def test_split_cover_property():
         if full_edit_distance(w, q) > d:
             continue
         prefix, suffix = split_word(w)
-        half = (d + 1) // 2
+        half = d // 2 if len(w) >= 2 * d + 2 else (d + 1) // 2
         assert any(
             edit_distance_verifier(q[:cut], half)(prefix) is not None
             or edit_distance_verifier(q[cut:], half)(suffix) is not None
@@ -244,6 +249,28 @@ def test_losslessness_exhaustive_small_universe():
                 assert idx.search(q) == expected[q], (q, d, m)
                 checks += 1
     assert checks == 30_690
+
+
+def test_losslessness_exhaustive_split_words():
+    # Every word of length 8 over {a,b} as the dictionary, so at d=3, m=7
+    # every word is split and each half indexed with floor(3/2) = 1 edit;
+    # every string of length 5..11 over {a,b} as a query.
+    from itertools import product
+
+    words = ["".join(t) for t in product("ab", repeat=8)]
+    dictionary = Dictionary(words)
+    params = IndexParams(3, 7)
+    assert params.half_budget == 1
+    assert all(len(w) > params.split_threshold for w in words)
+    idx = FastSSIndex.build(dictionary, params)
+    scanner = NaiveScanner(dictionary)
+    checks = 0
+    for n in range(5, 12):
+        for t in product("ab", repeat=n):
+            q = "".join(t)
+            assert idx.search(q) == scanner.scan(q, 3), q
+            checks += 1
+    assert checks == 4_064
 
 
 def test_repeated_queries_are_deterministic():
