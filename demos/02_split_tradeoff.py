@@ -2,11 +2,11 @@
 """Sweep the splitting threshold and watch the size/time trade-off.
 
 Words longer than the threshold m are cut in half and each half is indexed
-with half the error budget (floor(d/2) edits once m >= 2d + 1, ceil(d/2)
-below that), so a long word contributes two small residual neighborhoods
-instead of one huge one. Queries pay for it by probing a few split
-positions. Around the mean word length, the index shrinks to a fraction of
-its unsplit size while queries stay in the same ballpark.
+with floor(d/2) edits, so a long word contributes two small residual
+neighborhoods instead of one huge one. Queries pay for it by probing a few
+split positions. Around the mean word length, the index shrinks to a
+fraction of its unsplit size while queries stay in the same ballpark, and
+every lower threshold stores fewer pairs still.
 """
 
 import time
@@ -23,7 +23,7 @@ workload = perturb(dictionary, 300, d, seed=1)
 
 print(f"\n{'m':>5} {'stored pairs':>14} {'vs unsplit':>10} {'build':>8} {'query':>10}")
 baseline_pairs = None
-for m in [None, 16, 12, 10, 8, 7, 6, 5]:
+for m in [None, 16, 12, 10, 8, 7, 6, 5, 4, 3, 2]:
     start = time.perf_counter()
     index = FastSSIndex.build(dictionary, IndexParams(d, m))
     build_s = time.perf_counter() - start
@@ -40,7 +40,7 @@ for m in [None, 16, 12, 10, 8, 7, 6, 5]:
     print(f"{label:>5} {pairs:>14,} {pairs / baseline_pairs:>9.1%} "
           f"{build_s:>7.2f}s {query_us:>8.0f}us")
 
-print("\nsplitting at the mean length (m = 7 = 2d + 1) keeps queries as "
-      "cheap as unsplit while the index shrinks by three quarters; below "
-      "2d + 1 each half needs one more edit, and very small m splits "
-      "everything so queries pay for many probe positions")
+print("\nsplitting at the mean length (m = 7) keeps queries close to "
+      "unsplit while the index shrinks by three quarters; every lower m "
+      "stores fewer pairs still, and queries pay for the extra split words "
+      "with more candidates to verify")

@@ -230,8 +230,7 @@ def compare_baselines(dictionary: Dictionary, max_distance: int, workload: Workl
                            tree_build_ms, times_us, computation_total,
                            match_total, "bktree", workload))
 
-    mean_length = round(dictionary.mean_length()) if len(dictionary) else 1
-    split_at = max(mean_length, d + 1)
+    split_at = max(1, round(dictionary.mean_length()))
     for m in (None, split_at):
         reports.append(run_benchmark(dictionary, IndexParams(d, m), workload,
                                      dataset=dataset, scanner=scanner))

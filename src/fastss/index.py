@@ -5,9 +5,8 @@ Every dictionary word contributes the hashed residuals of its deletion
 neighborhood; a query probes the same keys and verifies the surviving
 candidates with one bit-vector edit-distance verifier per query. Words
 longer than the splitting threshold m are instead split in half and each
-half is indexed with half the error budget d: floor(d/2) edits once
-m >= 2d + 1, ceil(d/2) below that. This shrinks the index dramatically
-while queries compensate by probing several split positions.
+half is indexed with floor(d/2) edits. This shrinks the index
+dramatically while queries compensate by probing several split positions.
 
 The posting table is three flat, read-only numpy arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
@@ -42,7 +41,7 @@ __all__ = [
 
 UNBOUNDED_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"FSSI"
-_VERSION = 3
+_VERSION = 4
 
 
 class Dictionary:
@@ -100,13 +99,11 @@ class IndexParams:
 
     ``max_distance`` is the largest edit distance queries can ask for.
     ``split_threshold`` is the word length above which entries are split
-    (None: never split). A finite threshold must exceed ``max_distance``:
-    otherwise queries shorter than 2 characters cannot probe any split
-    position and matches for split words would be lost.
+    (None: never split); a finite threshold must be positive, since a
+    split word needs two characters.
 
     ``half_budget`` is the edit budget each half of a split word is indexed
-    and probed with: floor(d/2) when ``split_threshold`` >= 2d + 1, and
-    ceil(d/2) otherwise (see ``split_positions`` for why).
+    and probed with: floor(d/2) (see ``split_positions`` for why).
     """
 
     max_distance: int
@@ -115,22 +112,13 @@ class IndexParams:
     def __post_init__(self):
         if self.max_distance < 0:
             raise ValueError("max_distance must be non-negative")
-        if self.split_threshold is not None:
-            if self.split_threshold < 1:
-                raise ValueError("split_threshold must be positive")
-            if self.split_threshold <= self.max_distance:
-                raise ValueError(
-                    "split_threshold must exceed max_distance to keep "
-                    "split-word queries lossless"
-                )
+        if self.split_threshold is not None and self.split_threshold < 1:
+            raise ValueError("split_threshold must be positive")
 
     @property
     def half_budget(self) -> int:
         """Error budget for each half of a split word."""
-        d, m = self.max_distance, self.split_threshold
-        if m is not None and m >= 2 * d + 1:
-            return d // 2
-        return (d + 1) // 2
+        return self.max_distance // 2
 
 
 @dataclass(frozen=True)
@@ -155,38 +143,23 @@ def split_word(word: str) -> tuple[str, str]:
 
 def split_positions(length: int, max_distance: int) -> list[int]:
     """Query split positions to probe: all cut points within
-    ceil(length/2) +/- ceil(max_distance/2), clamped so both parts are
-    non-empty. Empty for queries shorter than 2 characters.
+    ceil(length/2) +/- ceil(max_distance/2), clamped to 0..length. A cut
+    at either end probes an empty part.
 
     Why this window loses no match. Let a word w of length n be split at
     c = ceil(n/2) and let a query q be within e <= d edits of w. An optimal
-    alignment of w and q maps the cut c to some cut t of q, with
-    ed(w[:c], q[:t]) = e1, ed(w[c:], q[t:]) = e2 and e1 + e2 <= e. The
-    halves change length by a = t - c and b = (len(q) - t) - (n - c), with
-    |a| <= e1 and |b| <= e2. Rounding each ceil moves it by at most 1/2, so
-    t - ceil(len(q)/2) lies within (a - b)/2 +/- 1/2; it is an integer of
-    size at most (d + 1)/2, hence at most ceil(d/2): the window's spread
-    bounds the cut, whatever budget the halves get. Unless the clamp
-    excludes it, t is in the window, and since e1 + e2 <= d one half is
+    alignment of w and q maps the cut c to some cut t of q, 0 <= t <=
+    len(q), with ed(w[:c], q[:t]) = e1, ed(w[c:], q[t:]) = e2 and
+    e1 + e2 <= e. The halves change length by a = t - c and
+    b = (len(q) - t) - (n - c), with |a| <= e1 and |b| <= e2. Rounding each
+    ceil moves it by at most 1/2, so t - ceil(len(q)/2) lies within
+    (a - b)/2 +/- 1/2; it is an integer of size at most (d + 1)/2, hence at
+    most ceil(d/2), and t is in the window. Since e1 + e2 <= d, one half is
     within floor(d/2) edits at that probe.
-
-    The clamp excludes only t = 0 and t = len(q). A cut t = 0 leaves
-    q[:t] empty, so e1 = ceil(n/2) <= d; a cut t = len(q) forces
-    e2 = floor(n/2) <= d. A split word has n >= m + 1, so when
-    m >= 2d + 1 it has n >= 2d + 2 and neither cut is possible: every
-    optimal cut lies inside the window and floor(d/2) edits per half
-    suffice. Below that threshold the probe at 1 or len(q) - 1 costs at
-    most one edit more in total, e1 + e2 <= d + 1, and one half is within
-    ceil(d/2); ``IndexParams.half_budget`` picks the budget by this rule.
-    A split word has n > m > d, so len(q) >= 2 and the window is non-empty.
     """
-    if length < 2:
-        return []
     center = (length + 1) // 2
     spread = (max_distance + 1) // 2
-    low = max(1, center - spread)
-    high = min(length - 1, center + spread)
-    return list(range(low, high + 1))
+    return list(range(max(0, center - spread), min(length, center + spread) + 1))
 
 
 class FastSSIndex:
@@ -251,17 +224,14 @@ class FastSSIndex:
     def stats(self) -> IndexStats:
         return IndexStats(len(self._ids), len(self._keys))
 
-    def candidates(self, query: str) -> set[int]:
-        """Word ids sharing at least one residual key with the query.
+    def candidates(self, query: str) -> list[int]:
+        """Ids of the words sharing at least one residual key with the
+        query, each once, in ascending order.
 
         Guaranteed to contain every word within ``max_distance`` of the
         query; hash collisions may add extras, which verification removes.
         Raises TypeError for a query that is not a ``str``.
         """
-        return set(self._candidate_ids(query))
-
-    def _candidate_ids(self, query: str) -> list[int]:
-        """The ids of ``candidates``, each once, in ascending order."""
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
         d = self._params.max_distance
@@ -301,7 +271,7 @@ class FastSSIndex:
         """All dictionary words within ``max_distance`` of the query,
         sorted by (distance, word id). Exactly the naive-scan result set.
         Raises TypeError for a query that is not a ``str``."""
-        ids = self._candidate_ids(query)
+        ids = self.candidates(query)
         verify = edit_distance_verifier(query, self._params.max_distance)
         distances = map(verify, map(self._dictionary.words.__getitem__, ids))
         matches = [Match(word_id, distance)

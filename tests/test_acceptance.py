@@ -125,8 +125,8 @@ def test_criterion_3_residual_counting():
         checked += 1
 
         m = 7
-        # Each half gets floor(d/2) edits when m >= 2d + 1, else ceil(d/2).
-        half = d // 2 if m >= 2 * d + 1 else (d + 1) // 2
+        # Each half gets floor(d/2) edits.
+        half = d // 2
         index = FastSSIndex.build(dictionary, IndexParams(d, m))
         expected = 0
         for w in words:

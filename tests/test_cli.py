@@ -51,7 +51,7 @@ def test_build_requires_split_choice(tmp_path, dict_file):
 
 
 def test_build_rejects_bad_threshold(tmp_path, dict_file, capsys):
-    code = main(["build", "--dict", str(dict_file), "--d", "3", "--m", "2",
+    code = main(["build", "--dict", str(dict_file), "--d", "3", "--m", "0",
                  "--out", str(tmp_path / "x.fssi")])
     assert code == 1
     assert "error:" in capsys.readouterr().err

@@ -67,15 +67,15 @@ def shared_key(table: Table) -> int:
 
 
 def test_file_bytes_of_bundled_list_are_pinned():
-    # Each key costs 12 bytes and each id 4, as in versions 1 and 2. The
-    # unsplit file differs from version 2 only in its version field; at
-    # (3, 7) each split half is indexed with floor(3/2) = 1 edit, not 2.
+    # Each key costs 12 bytes and each id 4, as in versions 1 to 3. Both
+    # files differ from version 3 only in their version field: at (3, 7)
+    # each split half was already indexed with floor(3/2) = 1 edit.
     dictionary = load_dictionary(bundled_words_path())
     for params, length, digest in [
         (IndexParams(2), 9_419_874,
-         "0927f0455f26f5d80a88d4e322d8bb5db338f0403b9dfadad3470dd0fd56c95d"),
+         "090c5f80e4a00dfc8f1c1b8e709886b946fd13fb4218fe82b7f446919d732028"),
         (IndexParams(3, 7), 4_206_742,
-         "cb57b5e7191bddcef8f89c813b485926d8c4a85c423c047bd21964c2ffcbdb6f"),
+         "8b628bb094045524d8561be359d2f82d2dc1ca0bf8492e1251507f487c5fb74d"),
     ]:
         blob = FastSSIndex.build(dictionary, params).to_bytes()
         assert len(blob) == length, params

@@ -4,6 +4,7 @@ import pytest
 
 import fastss.index
 from fastss.baselines import NaiveScanner
+from fastss.bench import bundled_words_path, load_dictionary
 from fastss.distance import edit_distance_verifier, full_edit_distance
 from fastss.index import (
     Dictionary,
@@ -49,19 +50,16 @@ def test_params_validation():
     IndexParams(0)
     IndexParams(3, None)
     IndexParams(3, 4)
+    IndexParams(3, 3)
+    IndexParams(3, 1)
     with pytest.raises(ValueError):
         IndexParams(-1)
     with pytest.raises(ValueError):
         IndexParams(2, 0)
-    with pytest.raises(ValueError):
-        IndexParams(3, 3)  # lookups on 1-char queries would go blind
-    assert IndexParams(3).half_budget == 2
-    assert IndexParams(4).half_budget == 2
-    assert IndexParams(0).half_budget == 0
-    # floor(d/2) once split_threshold >= 2d + 1, ceil(d/2) below that.
-    for d, m, half in [(1, 2, 1), (1, 3, 0), (2, 5, 1), (3, 6, 2), (3, 7, 1),
-                       (5, 10, 3), (5, 11, 2), (3, None, 2)]:
-        assert IndexParams(d, m).half_budget == half, (d, m)
+    # floor(d/2) for every split threshold.
+    for d in range(6):
+        for m in (None, 1, 2, 3, 6, 7, 11):
+            assert IndexParams(d, m).half_budget == d // 2, (d, m)
 
 
 def test_split_word():
@@ -75,9 +73,10 @@ def test_split_word():
 def test_split_positions():
     assert split_positions(10, 2) == [4, 5, 6]
     assert split_positions(9, 3) == [3, 4, 5, 6, 7]
-    assert split_positions(1, 4) == []
-    assert split_positions(0, 2) == []
-    assert split_positions(2, 6) == [1]  # clamped to non-empty halves
+    assert split_positions(1, 4) == [0, 1]
+    assert split_positions(0, 2) == [0]
+    assert split_positions(2, 6) == [0, 1, 2]  # clamped to 0..length
+    assert split_positions(5, 1) == [2, 3, 4]
 
 
 def test_build_pair_counts():
@@ -85,7 +84,7 @@ def test_build_pair_counts():
     assert idx.stats.stored_pairs == 1 + 10 + 45
 
     idx = FastSSIndex.build(Dictionary(["abcdefghij"]), IndexParams(2, 5))
-    # halves "abcde"/"fghij", each with budget ceil(2/2)=1: 2 * (1 + 5)
+    # halves "abcde"/"fghij", each with budget floor(2/2)=1: 2 * (1 + 5)
     assert idx.stats.stored_pairs == 12
 
     for m in (None, 1, 7):
@@ -200,7 +199,7 @@ def test_losslessness_with_empty_and_short_queries():
     words = random_unique_words(rng, 80, 1, 9, alphabet="abc")
     dictionary = Dictionary(words)
     for d in range(4):
-        for m in (None, d + 1):
+        for m in (None, 1, d + 1):
             idx = FastSSIndex.build(dictionary, IndexParams(d, m))
             for q in ["", "a", "ab", "abc", "zzzzzzzzzzzz"]:
                 assert idx.search(q) == naive(dictionary, q, d), (q, d, m)
@@ -208,8 +207,7 @@ def test_losslessness_with_empty_and_short_queries():
 
 def test_split_cover_property():
     # For any split word within distance d of a query, some probed split
-    # position matches one half within the halved budget: ceil(d/2) for
-    # any word, floor(d/2) for a word of length at least 2d + 2.
+    # position matches one half within floor(d/2) edits.
     rng = random.Random(17)
     for _ in range(400):
         w = random_word(rng, 2, 14)
@@ -218,18 +216,18 @@ def test_split_cover_property():
         if full_edit_distance(w, q) > d:
             continue
         prefix, suffix = split_word(w)
-        half = d // 2 if len(w) >= 2 * d + 2 else (d + 1) // 2
+        half = d // 2
         assert any(
             edit_distance_verifier(q[:cut], half)(prefix) is not None
             or edit_distance_verifier(q[cut:], half)(suffix) is not None
             for cut in split_positions(len(q), d)
-        ) or len(q) < 2, (w, q, d)
+        ), (w, q, d)
 
 
 def test_losslessness_exhaustive_small_universe():
     # Every word of length 1..7 over {a,b} as the dictionary, every string
     # of length 0..9 over {a,b} as a query, every d in 0..4 with no split
-    # and with every split threshold from d+1 to the longest word: no
+    # and with every split threshold from 1 to the longest word: no
     # sampling, no escape hatches.
     from itertools import product
 
@@ -243,34 +241,46 @@ def test_losslessness_exhaustive_small_universe():
         expected = {q: sorted((Match(i, x) for i, x in enumerate(row) if x <= d),
                               key=lambda m: (m.distance, m.word_id))
                     for q, row in distances.items()}
-        for m in (None, *range(d + 1, 8)):
+        for m in (None, *range(1, 8)):
             idx = FastSSIndex.build(dictionary, IndexParams(d, m))
             for q in queries:
                 assert idx.search(q) == expected[q], (q, d, m)
                 checks += 1
-    assert checks == 30_690
+    assert checks == 40_920
 
 
 def test_losslessness_exhaustive_split_words():
-    # Every word of length 8 over {a,b} as the dictionary, so at d=3, m=7
-    # every word is split and each half indexed with floor(3/2) = 1 edit;
-    # every string of length 5..11 over {a,b} as a query.
+    # Every word of length 8 over {a,b} as the dictionary, so at d=3 and
+    # m=4 or 7 every word is split and each half indexed with floor(3/2) = 1
+    # edit; every string of length 5..11 over {a,b} as a query.
     from itertools import product
 
     words = ["".join(t) for t in product("ab", repeat=8)]
     dictionary = Dictionary(words)
-    params = IndexParams(3, 7)
-    assert params.half_budget == 1
-    assert all(len(w) > params.split_threshold for w in words)
-    idx = FastSSIndex.build(dictionary, params)
     scanner = NaiveScanner(dictionary)
-    checks = 0
-    for n in range(5, 12):
-        for t in product("ab", repeat=n):
-            q = "".join(t)
-            assert idx.search(q) == scanner.scan(q, 3), q
-            checks += 1
-    assert checks == 4_064
+    for m in (4, 7):
+        params = IndexParams(3, m)
+        assert params.half_budget == 1
+        assert all(len(w) > params.split_threshold for w in words)
+        idx = FastSSIndex.build(dictionary, params)
+        checks = 0
+        for n in range(5, 12):
+            for t in product("ab", repeat=n):
+                q = "".join(t)
+                assert idx.search(q) == scanner.scan(q, 3), (q, m)
+                checks += 1
+        assert checks == 4_064, m
+
+
+def test_split_pairs_shrink_as_threshold_falls():
+    # With one half budget for every threshold, splitting more words only
+    # ever stores fewer pairs: at d=3 the bundled list shrinks strictly
+    # from m=7 down to m=2.
+    dictionary = load_dictionary(bundled_words_path())
+    pairs = [FastSSIndex.build(dictionary, IndexParams(3, m)).stats.stored_pairs
+             for m in (7, 6, 5, 4, 3, 2)]
+    assert pairs == [453_120, 315_808, 238_976, 201_565, 184_418, 180_101]
+    assert all(a > b for a, b in zip(pairs, pairs[1:]))
 
 
 def test_repeated_queries_are_deterministic():
