@@ -10,23 +10,24 @@ dramatically while queries compensate by probing several split positions.
 
 The posting table is three flat, read-only numpy arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
-ascending order. A build collects (key, word id) pairs in word order and
-makes one stable sort by key; a query looks all its distinct keys up with
-one binary search. The file stores the same three arrays back to back,
-so it is written and read with one array operation each.
+ascending order. A build hashes every word's distinct keys in numpy
+blocks, one word length at a time, and makes one sort of the (key, word
+id) pairs by key, then id; a query enumerates its keys with the scalar
+``residual_keys`` and looks them all up with one binary search. The file
+stores the same three arrays back to back, so it is written and read with
+one array operation each.
 """
 
 from __future__ import annotations
 
 import struct
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .distance import edit_distance_verifier
-from .neighborhood import HalfTag, residual_keys
+from .neighborhood import HalfTag, Part, residual_key_pairs, residual_keys
 
 __all__ = [
     "Dictionary",
@@ -188,29 +189,31 @@ class FastSSIndex:
     @classmethod
     def build(cls, dictionary: Dictionary, params: IndexParams) -> "FastSSIndex":
         """Index every word's residual keys; words longer than the split
-        threshold contribute the keys of their two halves instead."""
+        threshold contribute the keys of their two halves instead.
+
+        ``residual_key_pairs`` hashes each word's distinct keys; one sort
+        by (key, id) then lays the pairs out as the posting table."""
         d = params.max_distance
         m = params.split_threshold
         half = params.half_budget
-        all_keys = array("Q")
-        counts = array("q")
-        for word in dictionary:
-            if m is None or len(word) <= m:
-                keys = residual_keys(word, d, HalfTag.WHOLE)
-            else:
-                prefix, suffix = split_word(word)
-                keys = residual_keys(prefix, half, HalfTag.PREFIX)
-                keys |= residual_keys(suffix, half, HalfTag.SUFFIX)
-            all_keys.extend(keys)
-            counts.append(len(keys))
-        keys = np.frombuffer(all_keys, dtype=np.uint64)
-        ids = np.repeat(np.arange(len(dictionary), dtype=np.uint32), counts)
-        # A stable sort keeps each key's ids in word order, which is ascending.
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.flatnonzero(_run_starts(keys))
-        offsets = np.append(first, len(keys)).astype(np.int64)
-        return cls(dictionary, params, keys[first], offsets, ids[order])
+
+        def parts(length: int) -> list[Part]:
+            if m is None or length <= m:
+                return [(0, length, d, HalfTag.WHOLE)]
+            cut = (length + 1) // 2  # as in split_word
+            return [(0, cut, half, HalfTag.PREFIX), (cut, length, half, HalfTag.SUFFIX)]
+
+        unsorted, ids = residual_key_pairs(dictionary.words, parts)
+        order = np.lexsort((ids, unsorted))
+        ids = ids[order]
+        keys = unsorted[order]
+        # The unsorted keys are dead: their buffer holds the run-start mask,
+        # with one more start past the end (no buffer for no pairs).
+        starts = unsorted.view(bool)[:len(keys) + 1] if len(keys) else np.ones(1, bool)
+        _run_starts(keys, out=starts[:-1])
+        starts[-1] = True
+        offsets = np.flatnonzero(starts).astype(np.int64, copy=False)
+        return cls(dictionary, params, keys[offsets[:-1]], offsets, ids)
 
     @property
     def dictionary(self) -> Dictionary:
@@ -271,7 +274,11 @@ class FastSSIndex:
         """All dictionary words within ``max_distance`` of the query,
         sorted by (distance, word id). Exactly the naive-scan result set.
         Raises TypeError for a query that is not a ``str``."""
-        ids = self.candidates(query)
+        return self._verify(query, self.candidates(query))
+
+    def _verify(self, query: str, ids: list[int]) -> list[Match]:
+        """The words among the ascending candidate ``ids`` within
+        ``max_distance`` of the query, sorted by (distance, word id)."""
         verify = edit_distance_verifier(query, self._params.max_distance)
         distances = map(verify, map(self._dictionary.words.__getitem__, ids))
         matches = [Match(word_id, distance)
@@ -406,10 +413,12 @@ class FastSSIndex:
         return cls(dictionary, params, keys, offsets, ids)
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
+def _run_starts(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from the one
-    before them: the first of each run of equal values."""
-    first = np.ones(len(values), dtype=bool)
+    before them: the first of each run of equal values. Written to ``out``
+    if given."""
+    first = np.empty(len(values), dtype=bool) if out is None else out
+    first[:1] = True
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return first
 

@@ -7,25 +7,36 @@ make a lossless filter key. Each residual is reduced to a 64-bit FNV-1a
 hash of a tag byte followed by its UTF-8 bytes. The tag byte keeps keys
 of whole words, prefix halves and suffix halves in disjoint key spaces.
 
-``residual_keys`` computes those hashes in one pass over the word without
-building residual strings; ``full_neighborhood`` enumerates the strings
-themselves and is the reference it is tested against. The hash is part of
-the index file format and must stay bit-stable.
+``residual_keys`` computes those hashes for one word in one pass, without
+building residual strings; queries use it. ``residual_key_pairs`` runs the
+same recurrence over a whole dictionary in numpy blocks, one word length
+at a time; index builds use it. ``full_neighborhood`` enumerates the
+residual strings themselves and is the reference both are tested against.
+The hash is part of the index file format and must stay bit-stable.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from math import comb
+from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "HalfTag",
     "full_neighborhood",
     "residual_keys",
+    "residual_key_pairs",
 ]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+
+BLOCK_STATES = 4096
+"""Most hash states one block of ``residual_key_pairs`` holds; a word with
+more states is a block of its own."""
 
 
 class HalfTag(IntEnum):
@@ -91,3 +102,127 @@ def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
         for byte in data:
             h = ((h ^ byte) * prime) & mask
     return set().union((h,), *deleted)
+
+
+Part = tuple[int, int, int, HalfTag]
+"""Character range ``start:stop`` of a word, hashed with at most
+``max_deletions`` deletions under ``tag``: (start, stop, max_deletions, tag)."""
+
+
+def residual_key_pairs(words: Sequence[str], parts: Callable[[int], Sequence[Part]]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Every word's distinct residual keys, as a ``uint64`` key array and
+    a ``uint32`` word-id array of equal length.
+
+    A word of length L contributes the union of ``residual_keys(word[start:
+    stop], max_deletions, tag)`` over ``parts(L)``. Pairs come grouped by
+    word length, ascending ids within a length; each word's keys ascend.
+
+    The words of one length are hashed together, in blocks of at most
+    ``BLOCK_STATES`` states: one row per word and one column per set of
+    deleted positions, so that nothing needs merging across words. Each
+    character is one numpy step of the ``residual_keys`` recurrence on the
+    whole block: the states that delete it are copied from those with
+    deletions to spare, and the states that keep it hash its UTF-8 bytes.
+    A row's repeated keys are then dropped. The key and id buffers are
+    allocated once, sized by the states of every word.
+    """
+    groups: dict[int, list[int]] = {}
+    for word_id, word in enumerate(words):
+        groups.setdefault(len(word), []).append(word_id)
+    widths = {length: sum(_state_count(stop - start, max_deletions)
+                          for start, stop, max_deletions, _ in parts(length))
+              for length in groups}
+    keys = np.empty(sum(len(group) * widths[length] for length, group in groups.items()),
+                    dtype=np.uint64)
+    ids = np.empty(len(keys), dtype=np.uint32)
+    filled = 0
+    for length, group in groups.items():
+        layout = [(start, stop, tag, _deletion_sources(stop - start, max_deletions))
+                  for start, stop, max_deletions, tag in parts(length)]
+        rows = max(1, BLOCK_STATES // widths[length])
+        for first in range(0, len(group), rows):
+            block = group[first:first + rows]
+            text = "".join(map(words.__getitem__, block))
+            # UTF-32, like the UTF-8 of residual_keys, raises
+            # UnicodeEncodeError on a lone surrogate.
+            chars = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+            chars = chars.reshape(len(block), length)
+            states = np.empty((len(block), widths[length]), dtype=np.uint64)
+            column = 0
+            for start, stop, tag, sources in layout:
+                column += _hash_part(states[:, column:], chars[:, start:stop], sources,
+                                     tag, text.isascii())
+            # Drop each row's repeated keys. The default sort would page in
+            # about 190 kB more code, which counts as resident memory.
+            states.sort(axis=1, kind="stable")
+            keep = np.empty(states.shape, dtype=bool)
+            keep[:, 0] = True
+            np.not_equal(states[:, 1:], states[:, :-1], out=keep[:, 1:])
+            counts = keep.sum(axis=1)
+            end = filled + int(counts.sum())
+            np.compress(keep.ravel(), states.ravel(), out=keys[filled:end])
+            ids[filled:end] = np.repeat(block, counts)
+            filled = end
+    return keys[:filled], ids[:filled]
+
+
+def _state_count(length: int, max_deletions: int) -> int:
+    """Sets of at most ``max_deletions`` of ``length`` positions."""
+    return sum(comb(length, k) for k in range(min(length, max_deletions) + 1))
+
+
+def _deletion_sources(length: int, max_deletions: int) -> list[np.ndarray]:
+    """Where the states of a part of ``length`` characters come from. The
+    columns in use before character i hold the states of the prefix read
+    so far; reading character i appends copies of the columns
+    ``sources[i]``, those with deletions to spare, as the states that
+    delete it. The part ends with one column per set of deleted positions."""
+    deletions = [0]
+    sources = []
+    for _ in range(length):
+        source = [column for column, count in enumerate(deletions) if count < max_deletions]
+        sources.append(np.array(source, dtype=np.intp))
+        deletions += [deletions[column] + 1 for column in source]
+    return sources
+
+
+def _hash_part(states: np.ndarray, chars: np.ndarray, sources: list[np.ndarray],
+               tag: HalfTag, ascii_only: bool) -> int:
+    """Hash the residuals of ``chars`` (code points, one row per word) into
+    the first columns of ``states``, laid out by ``sources``; returns how
+    many columns they fill."""
+    states[:, 0] = ((_FNV_OFFSET ^ tag) * _FNV_PRIME) & _MASK64
+    active = 1
+    for i, source in enumerate(sources):
+        grown = active + len(source)
+        # Copies first, while the sources still lack character i.
+        states[:, active:grown] = states[:, source]
+        _hash_char(states[:, :active], chars[:, i], ascii_only)
+        active = grown
+    return active
+
+
+_PRIME = np.uint64(_FNV_PRIME)
+_UTF8_LIMITS = np.array([0x80, 0x800, 0x10000], dtype=np.uint64)  # 2, 3, 4 bytes from
+_UTF8_LEAD = np.array([0, 0, 0xC0, 0xE0, 0xF0], dtype=np.uint64)  # by byte count
+
+
+def _hash_char(states: np.ndarray, points: np.ndarray, ascii_only: bool) -> None:
+    """FNV-1a step over the UTF-8 bytes of one character per row, applied
+    to every state of the row. A byte a row's character lacks leaves that
+    row unchanged."""
+    if ascii_only:
+        states ^= points[:, None]
+        states *= _PRIME
+        return
+    points = points.astype(np.uint64)
+    size = np.searchsorted(_UTF8_LIMITS, points, side="right").astype(np.uint64) + 1
+    states ^= ((points >> 6 * (size - 1)) | _UTF8_LEAD[size])[:, None]
+    states *= _PRIME
+    for byte in range(1, int(size.max())):
+        rows = np.flatnonzero(size > byte)
+        tail = states[rows]
+        tail ^= (0x80 | (points[rows] >> 6 * (size[rows] - 1 - byte)) & 0x3F)[:, None]
+        tail *= _PRIME
+        states[rows] = tail

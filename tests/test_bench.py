@@ -14,7 +14,7 @@ from fastss.bench import (
     write_csv,
 )
 from fastss.distance import full_edit_distance
-from fastss.index import Dictionary, IndexParams
+from fastss.index import Dictionary, FastSSIndex, IndexParams
 from helpers import random_unique_words
 
 
@@ -160,15 +160,35 @@ def test_csv_schema(tmp_path, small_dictionary):
 
 
 def test_losslessness_error_reports_context(small_dictionary, monkeypatch):
-    # Sabotage the index's verification threshold to force a mismatch.
+    # Sabotage the index's verification step, which search and the
+    # benchmark share, to force a mismatch.
     from fastss import index as index_module
 
     workload = perturb(small_dictionary, 10, 2, seed=9)
-    original = index_module.FastSSIndex.search
+    original = index_module.FastSSIndex._verify
 
-    def broken_search(self, query):
-        return original(self, query)[:-1] if original(self, query) else []
+    def broken_verify(self, query, ids):
+        return original(self, query, ids)[:-1]
 
-    monkeypatch.setattr(index_module.FastSSIndex, "search", broken_search)
+    monkeypatch.setattr(index_module.FastSSIndex, "_verify", broken_verify)
     with pytest.raises(LosslessnessError, match=r"d=2.*seed=9"):
         run_benchmark(small_dictionary, IndexParams(2), workload)
+
+
+def test_run_benchmark_computes_candidates_once_per_query(small_dictionary, monkeypatch):
+    from fastss import index as index_module
+
+    workload = perturb(small_dictionary, 50, 2, seed=10)
+    original = index_module.FastSSIndex.candidates
+    calls = []
+
+    def counted(self, query):
+        calls.append(query)
+        return original(self, query)
+
+    monkeypatch.setattr(index_module.FastSSIndex, "candidates", counted)
+    report = run_benchmark(small_dictionary, IndexParams(2), workload)
+    assert calls == [case.query for case in workload.cases]
+    index = FastSSIndex.build(small_dictionary, IndexParams(2))
+    total = sum(len(original(index, case.query)) for case in workload.cases)
+    assert report.mean_cand == total / len(workload)

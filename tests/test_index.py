@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 import fastss.index
+import fastss.neighborhood
 from fastss.baselines import NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary
 from fastss.distance import edit_distance_verifier, full_edit_distance
@@ -14,7 +16,7 @@ from fastss.index import (
     split_positions,
     split_word,
 )
-from fastss.neighborhood import full_neighborhood
+from fastss.neighborhood import BLOCK_STATES, HalfTag, full_neighborhood, residual_keys
 from helpers import perturb_word, random_unique_words, random_word
 
 
@@ -101,6 +103,63 @@ def test_build_stored_pairs_equal_neighborhood_sizes():
             len(full_neighborhood(w, d)) for w in words)
         # from_bytes recounts keys and id lists from the serialized table.
         assert FastSSIndex.from_bytes(idx.to_bytes()).stats == idx.stats
+
+
+def reference_table(words, params):
+    """The posting table as (key, id) pairs sorted by key, then id: each
+    word's residual_keys, its halves' keys unioned when it is split."""
+    d, m, half = params.max_distance, params.split_threshold, params.half_budget
+    keys, ids = [], []
+    for word_id, word in enumerate(words):
+        if m is None or len(word) <= m:
+            word_keys = residual_keys(word, d, HalfTag.WHOLE)
+        else:
+            prefix, suffix = split_word(word)
+            word_keys = (residual_keys(prefix, half, HalfTag.PREFIX)
+                         | residual_keys(suffix, half, HalfTag.SUFFIX))
+        keys += word_keys
+        ids += [word_id] * len(word_keys)
+    keys = np.array(keys, dtype=np.uint64)
+    ids = np.array(ids, dtype=np.uint32)
+    order = np.lexsort((ids, keys))
+    return keys[order], ids[order]
+
+
+@pytest.mark.parametrize("d, m", [(0, None), (1, None), (2, None), (3, None),
+                                  (3, 7), (3, 3), (2, 1), (4, 3)])
+def test_build_matches_per_word_residual_keys(d, m, monkeypatch):
+    # The batch build stores exactly each word's residual_keys, whatever the
+    # block size: one word per block, several, or a word over many blocks.
+    # One block per word costs about 2 s on the whole bundled list, so the
+    # small block sizes run on every tenth word of it.
+    rng = random.Random(23)
+    bundled = load_dictionary(bundled_words_path()).words
+    inputs = [
+        (bundled, [BLOCK_STATES]),
+        (bundled[::10], [1, 7]),
+        # 1-, 2-, 3- and 4-byte UTF-8 characters
+        (random_unique_words(rng, 1500, 1, 12, alphabet="abü€𝄞ß"), [BLOCK_STATES, 1, 7]),
+        # shorter than d, and one word of 5,051 states at d=2
+        (["a", "é", "ab", "€𝄞", "abc", random_word(rng, 100, 100)], [BLOCK_STATES, 1, 7]),
+        ([], [BLOCK_STATES, 1]),
+    ]
+    params = IndexParams(d, m)
+    for words, block_sizes in inputs:
+        keys, ids = reference_table(words, params)
+        for block_states in block_sizes:
+            monkeypatch.setattr(fastss.neighborhood, "BLOCK_STATES", block_states)
+            index = FastSSIndex.build(Dictionary(words), params)
+            assert np.array_equal(np.repeat(index._keys, np.diff(index._offsets)), keys)
+            assert np.array_equal(index._ids, ids)
+            assert len(index._offsets) == len(index._keys) + 1
+
+
+@pytest.mark.parametrize("d, m", [(0, None), (2, None), (2, 1)])
+def test_build_rejects_lone_surrogate(d, m):
+    # A lone surrogate has no UTF-8 bytes to hash, so the word must raise
+    # rather than be indexed under some other key.
+    with pytest.raises(UnicodeEncodeError):
+        FastSSIndex.build(Dictionary(["ab", "c\ud800d"]), IndexParams(d, m))
 
 
 def test_table_id_lists_sorted_unique():
