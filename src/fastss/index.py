@@ -42,36 +42,30 @@ __all__ = [
 
 UNBOUNDED_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"FSSI"
-_VERSION = 4
+_VERSION = 5
 
 
 class Dictionary:
     """Ordered list of unique, non-empty ``str`` words. A word's position
     is its permanent id."""
 
-    __slots__ = ("_words", "_ids")
+    __slots__ = ("_words",)
 
     def __init__(self, words: Iterable[str]):
         self._words = tuple(words)
-        self._ids: dict[str, int] = {}
+        seen: set[str] = set()
         for i, w in enumerate(self._words):
             if not isinstance(w, str):
                 raise TypeError(f"word {i} must be str, not {type(w).__name__}")
             if not w:
                 raise ValueError(f"empty word at position {i}")
-            if w in self._ids:
+            if w in seen:
                 raise ValueError(f"duplicate word {w!r} at position {i}")
-            self._ids[w] = i
+            seen.add(w)
 
     @property
     def words(self) -> tuple[str, ...]:
         return self._words
-
-    def id_of(self, word: str) -> int:
-        return self._ids[word]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._ids
 
     def __len__(self) -> int:
         return len(self._words)

@@ -4,8 +4,9 @@ A residual of a word is what remains after deleting some character
 positions. Two words within edit distance d always share a residual
 reachable with at most d deletions from each side, so hashed residuals
 make a lossless filter key. Each residual is reduced to a 64-bit FNV-1a
-hash of a tag byte followed by its UTF-8 bytes. The tag byte keeps keys
-of whole words, prefix halves and suffix halves in disjoint key spaces.
+hash of a tag byte followed by its Unicode code points, one FNV step per
+character. The tag byte keeps keys of whole words, prefix halves and
+suffix halves in disjoint key spaces.
 
 ``residual_keys`` computes those hashes for one word in one pass, without
 building residual strings; queries use it. ``residual_key_pairs`` runs the
@@ -33,6 +34,7 @@ __all__ = [
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_PRIME = np.uint64(_FNV_PRIME)
 
 BLOCK_STATES = 4096
 """Most hash states one block of ``residual_key_pairs`` holds; a word with
@@ -67,13 +69,15 @@ def full_neighborhood(word: str, max_deletions: int) -> set[str]:
 
 def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     """Hashed keys of the full deletion neighborhood of ``word``: the
-    64-bit FNV-1a hash of the tag byte followed by each residual's UTF-8
-    bytes. Deterministic and bit-stable; index files depend on it.
+    64-bit FNV-1a hash of the tag byte followed by each residual's code
+    points, one step ``h = (h ^ code point) * prime mod 2**64`` per
+    character. Deterministic and bit-stable; index files depend on it.
+    Raises UnicodeEncodeError for a word with a lone surrogate.
 
     Computed in one pass over the word, without building residual strings.
     ``h`` is the hash state of the prefix read so far, and ``deleted[j - 1]``
     holds the states of that prefix's residuals with ``j`` deletions. Each
-    character advances every state over its bytes (the character kept),
+    character advances every state by its code point (the character kept),
     and the states with ``j`` deletions also take those with ``j - 1`` from
     before the character (the character deleted). Prefixes with equal
     states hash every continuation alike, so merging them loses no key: the
@@ -82,25 +86,22 @@ def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     """
     if max_deletions < 0:
         raise ValueError("max_deletions must be non-negative")
+    word.encode("utf-32-le")  # as the build does: a lone surrogate raises
     prime, mask = _FNV_PRIME, _MASK64
     h = ((_FNV_OFFSET ^ tag) * prime) & mask
     deleted: list[set[int]] = []
-    for char in word:
-        data = char.encode("utf-8")
+    for point in map(ord, word):
         if len(deleted) < max_deletions:
             deleted.append(set())
         # Highest level first, so that the level below is still the old one.
         for j in range(len(deleted) - 1, -1, -1):
-            states = deleted[j]
-            for byte in data:
-                states = {((s ^ byte) * prime) & mask for s in states}
+            states = {((s ^ point) * prime) & mask for s in deleted[j]}
             if j:
                 states |= deleted[j - 1]
             else:
                 states.add(h)
             deleted[j] = states
-        for byte in data:
-            h = ((h ^ byte) * prime) & mask
+        h = ((h ^ point) * prime) & mask
     return set().union((h,), *deleted)
 
 
@@ -123,7 +124,8 @@ def residual_key_pairs(words: Sequence[str], parts: Callable[[int], Sequence[Par
     deleted positions, so that nothing needs merging across words. Each
     character is one numpy step of the ``residual_keys`` recurrence on the
     whole block: the states that delete it are copied from those with
-    deletions to spare, and the states that keep it hash its UTF-8 bytes.
+    deletions to spare, and the states that keep it take one FNV step by
+    its code point.
     A row's repeated keys are then dropped. The key and id buffers are
     allocated once, sized by the states of every word.
     """
@@ -144,15 +146,14 @@ def residual_key_pairs(words: Sequence[str], parts: Callable[[int], Sequence[Par
         for first in range(0, len(group), rows):
             block = group[first:first + rows]
             text = "".join(map(words.__getitem__, block))
-            # UTF-32, like the UTF-8 of residual_keys, raises
-            # UnicodeEncodeError on a lone surrogate.
+            # Raises UnicodeEncodeError on a lone surrogate, as
+            # residual_keys does.
             chars = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
             chars = chars.reshape(len(block), length)
             states = np.empty((len(block), widths[length]), dtype=np.uint64)
             column = 0
             for start, stop, tag, sources in layout:
-                column += _hash_part(states[:, column:], chars[:, start:stop], sources,
-                                     tag, text.isascii())
+                column += _hash_part(states[:, column:], chars[:, start:stop], sources, tag)
             # Drop each row's repeated keys. The default sort would page in
             # about 190 kB more code, which counts as resident memory.
             states.sort(axis=1, kind="stable")
@@ -188,7 +189,7 @@ def _deletion_sources(length: int, max_deletions: int) -> list[np.ndarray]:
 
 
 def _hash_part(states: np.ndarray, chars: np.ndarray, sources: list[np.ndarray],
-               tag: HalfTag, ascii_only: bool) -> int:
+               tag: HalfTag) -> int:
     """Hash the residuals of ``chars`` (code points, one row per word) into
     the first columns of ``states``, laid out by ``sources``; returns how
     many columns they fill."""
@@ -198,31 +199,9 @@ def _hash_part(states: np.ndarray, chars: np.ndarray, sources: list[np.ndarray],
         grown = active + len(source)
         # Copies first, while the sources still lack character i.
         states[:, active:grown] = states[:, source]
-        _hash_char(states[:, :active], chars[:, i], ascii_only)
+        kept = states[:, :active]
+        kept ^= chars[:, i, None]
+        kept *= _PRIME
         active = grown
     return active
 
-
-_PRIME = np.uint64(_FNV_PRIME)
-_UTF8_LIMITS = np.array([0x80, 0x800, 0x10000], dtype=np.uint64)  # 2, 3, 4 bytes from
-_UTF8_LEAD = np.array([0, 0, 0xC0, 0xE0, 0xF0], dtype=np.uint64)  # by byte count
-
-
-def _hash_char(states: np.ndarray, points: np.ndarray, ascii_only: bool) -> None:
-    """FNV-1a step over the UTF-8 bytes of one character per row, applied
-    to every state of the row. A byte a row's character lacks leaves that
-    row unchanged."""
-    if ascii_only:
-        states ^= points[:, None]
-        states *= _PRIME
-        return
-    points = points.astype(np.uint64)
-    size = np.searchsorted(_UTF8_LIMITS, points, side="right").astype(np.uint64) + 1
-    states ^= ((points >> 6 * (size - 1)) | _UTF8_LEAD[size])[:, None]
-    states *= _PRIME
-    for byte in range(1, int(size.max())):
-        rows = np.flatnonzero(size > byte)
-        tail = states[rows]
-        tail ^= (0x80 | (points[rows] >> 6 * (size[rows] - 1 - byte)) & 0x3F)[:, None]
-        tail *= _PRIME
-        states[rows] = tail

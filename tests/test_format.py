@@ -67,19 +67,25 @@ def shared_key(table: Table) -> int:
 
 
 def test_file_bytes_of_bundled_list_are_pinned():
-    # Each key costs 12 bytes and each id 4, as in versions 1 to 3. Both
-    # files differ from version 3 only in their version field: at (3, 7)
-    # each split half was already indexed with floor(3/2) = 1 edit.
+    # Each key costs 12 bytes and each id 4, as in versions 1 to 4. The
+    # bundled list is all ASCII, whose code points are its UTF-8 bytes, so
+    # both files differ from version 4 only in their version field: with it
+    # set back to 4 they hash to the version 4 digests, and no key moved.
     dictionary = load_dictionary(bundled_words_path())
-    for params, length, digest in [
+    for params, length, digest, digest_v4 in [
         (IndexParams(2), 9_419_874,
+         "a967852d2261c70eed8982101e13ca260a63e12de8d41d9e8a6ebd3204e5ed01",
          "090c5f80e4a00dfc8f1c1b8e709886b946fd13fb4218fe82b7f446919d732028"),
         (IndexParams(3, 7), 4_206_742,
+         "a3d8505bf3d2472aef4f82d50328afd93d63e481a8a4fbfcdb9ccefacdf81dd8",
          "8b628bb094045524d8561be359d2f82d2dc1ca0bf8492e1251507f487c5fb74d"),
     ]:
         blob = FastSSIndex.build(dictionary, params).to_bytes()
         assert len(blob) == length, params
         assert hashlib.sha256(blob).hexdigest() == digest, params
+        as_v4 = bytearray(blob)
+        struct.pack_into("<H", as_v4, 4, 4)
+        assert hashlib.sha256(as_v4).hexdigest() == digest_v4, params
 
 
 def test_word_id_out_of_range_names_its_byte():

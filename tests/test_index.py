@@ -30,7 +30,7 @@ def naive(dictionary, query, d):
 
 def test_dictionary_validation():
     d = Dictionary(["b", "a", "c"])
-    assert len(d) == 3 and d[1] == "a" and d.id_of("c") == 2
+    assert len(d) == 3 and d[1] == "a" and d.words.index("c") == 2
     assert "a" in d and "z" not in d
     with pytest.raises(ValueError):
         Dictionary(["a", "a"])
@@ -156,10 +156,22 @@ def test_build_matches_per_word_residual_keys(d, m, monkeypatch):
 
 @pytest.mark.parametrize("d, m", [(0, None), (2, None), (2, 1)])
 def test_build_rejects_lone_surrogate(d, m):
-    # A lone surrogate has no UTF-8 bytes to hash, so the word must raise
-    # rather than be indexed under some other key.
+    # A lone surrogate is not a Unicode character and has no encoding, so
+    # the word must raise rather than be indexed under some key.
     with pytest.raises(UnicodeEncodeError):
         FastSSIndex.build(Dictionary(["ab", "c\ud800d"]), IndexParams(d, m))
+
+
+@pytest.mark.parametrize("d, m", [(1, None), (1, 1)])
+def test_query_rejects_lone_surrogate(d, m):
+    # Queries raise as builds do, through the whole-word probe (m=None)
+    # and through the split probes (m=1), and as the exhaustive scan does.
+    dictionary = Dictionary(["ab", "cd"])
+    idx = FastSSIndex.build(dictionary, IndexParams(d, m))
+    for query in (idx.candidates, idx.search,
+                  lambda q: NaiveScanner(dictionary).scan(q, d)):
+        with pytest.raises(UnicodeEncodeError):
+            query("c\ud800d")
 
 
 def test_table_id_lists_sorted_unique():
@@ -192,16 +204,16 @@ def test_candidates_contain_exact_word():
     dictionary = Dictionary(words)
     for d, m in [(0, None), (1, None), (2, 6), (3, 8)]:
         idx = FastSSIndex.build(dictionary, IndexParams(d, m))
-        for w in words[:20]:
-            assert dictionary.id_of(w) in idx.candidates(w)
+        for word_id, w in enumerate(words[:20]):
+            assert word_id in idx.candidates(w)
 
 
 def test_candidates_hello_world():
     dictionary = Dictionary(["hello", "world"])
     idx = FastSSIndex.build(dictionary, IndexParams(1))
     cands = idx.candidates("hellp")
-    assert dictionary.id_of("hello") in cands
-    assert dictionary.id_of("world") not in cands
+    assert 0 in cands  # hello
+    assert 1 not in cands  # world
     # matches the raw neighborhood picture
     assert full_neighborhood("hello", 1) & full_neighborhood("hellp", 1)
     assert not full_neighborhood("world", 1) & full_neighborhood("hellp", 1)
@@ -227,7 +239,7 @@ def test_search_simple():
     dictionary = Dictionary(["hello", "jello", "world"])
     idx = FastSSIndex.build(dictionary, IndexParams(1))
     assert full_edit_distance("jello", "hellp") == 2  # excluded at d=1
-    assert idx.search("hellp") == [Match(dictionary.id_of("hello"), 1)]
+    assert idx.search("hellp") == [Match(0, 1)]  # hello
 
 
 def test_search_sorted_by_distance_then_id():
@@ -380,7 +392,7 @@ def test_overlong_query_enumerates_nothing(monkeypatch):
     for (d, m), idx in indexes.items():
         q = longest + "z" * d
         assert idx.search(q) == scanner.scan(q, d), (d, m)
-        assert Match(dictionary.id_of(longest), d) in idx.search(q)
+        assert Match(words.index(longest), d) in idx.search(q)
 
     def refuse(*args):
         raise AssertionError("residual_keys called for an overlong query")

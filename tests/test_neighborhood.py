@@ -108,11 +108,12 @@ def test_neighborhood_elements_are_subsequences():
     assert all(w in full_neighborhood(w, d) for w in ("", "a", "abc") for d in (0, 2))
 
 
-def fnv1a(data: bytes) -> int:
-    """64-bit FNV-1a, written out independently of the library."""
+def fnv1a(data) -> int:
+    """64-bit FNV-1a over a sequence of ints (bytes or code points), written
+    out independently of the library."""
     h = 0xCBF29CE484222325
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    for value in data:
+        h = ((h ^ value) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
@@ -138,13 +139,16 @@ def test_hash_residual_deterministic_and_tagged():
     assert residual_keys("a", 0, HalfTag.PREFIX) != residual_keys("a", 0, HalfTag.SUFFIX)
 
 
-def test_hash_residual_utf8_bytes():
-    # Non-ASCII residuals hash their UTF-8 encoding, not code points.
+def test_hash_residual_code_points():
+    # Each character is one FNV step by its code point, whatever its UTF-8
+    # length; format version 4 and earlier hashed the UTF-8 bytes instead.
     assert residual_keys("ü", 0, HalfTag.WHOLE) != residual_keys("u", 0, HalfTag.WHOLE)
-    assert residual_keys("ü", 0, HalfTag.WHOLE) == {fnv1a(b"\x00\xc3\xbc")}
-    (key,) = residual_keys("münchen", 0, HalfTag.WHOLE)
-    assert key == fnv1a(b"\x00" + "münchen".encode("utf-8"))
-    assert 0 <= key < (1 << 64)
+    assert residual_keys("ü", 0, HalfTag.WHOLE) != {fnv1a(b"\x00\xc3\xbc")}
+    for word in ("ü", "münchen", "\U0001D11E"):  # the last is 4 bytes in UTF-8
+        for tag in HalfTag:
+            (key,) = residual_keys(word, 0, tag)
+            assert key == fnv1a([tag, *map(ord, word)]), (word, tag)
+            assert 0 <= key < (1 << 64)
 
 
 def test_residual_keys_rejects_negative_budget():
@@ -157,7 +161,8 @@ def test_residual_keys_rejects_negative_budget():
 def test_residual_keys_match_hashed_neighborhood():
     # The one-pass keys equal FNV-1a over every residual of the enumerator,
     # for every budget 0..4 and tag. Repeated characters in {a,b} words
-    # merge hash states; the last inputs have 2-, 3- and 4-byte characters.
+    # merge hash states; the last inputs have code points of 2, 3 and 4
+    # UTF-8 bytes.
     words = list(load_dictionary(bundled_words_path()).words[:3000])
     rng = random.Random(8)
     # 20k draws give 4,141 distinct {a,b} words; each is checked once.
@@ -166,9 +171,9 @@ def test_residual_keys_match_hashed_neighborhood():
     for word in words:
         # A residual with j deletions has len(word) - j characters, so the
         # budget-4 residuals hold those of every smaller budget.
-        residuals = [(len(r), r.encode("utf-8")) for r in full_neighborhood(word, 4)]
+        residuals = [(len(r), list(map(ord, r))) for r in full_neighborhood(word, 4)]
         for tag in HalfTag:
-            hashed = [(length, fnv1a(bytes([tag]) + r)) for length, r in residuals]
+            hashed = [(length, fnv1a([tag, *r])) for length, r in residuals]
             for k in range(5):
                 expected = {h for length, h in hashed if length >= len(word) - k}
                 assert residual_keys(word, k, tag) == expected, (word, k, tag)

@@ -53,7 +53,7 @@ def test_header_layout_is_stable():
     blob = idx.to_bytes()
     assert blob[:4] == b"FSSI"
     version, d, m = struct.unpack_from("<HBI", blob, 4)
-    assert (version, d, m) == (4, 1, 0xFFFFFFFF)
+    assert (version, d, m) == (5, 1, 0xFFFFFFFF)
     (word_count,) = struct.unpack_from("<I", blob, 11)
     assert word_count == 1
     (byte_len,) = struct.unpack_from("<H", blob, 15)
@@ -67,7 +67,7 @@ def test_corrupted_magic_rejected():
         FastSSIndex.from_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
 def test_unsupported_version_rejected(version):
     blob = bytearray(FastSSIndex.build(Dictionary(["ab"]), IndexParams(1)).to_bytes())
     struct.pack_into("<H", blob, 4, version)
