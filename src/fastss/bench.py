@@ -14,10 +14,10 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .baselines import BKTree, NaiveScanner
-from .index import Dictionary, FastSSIndex, IndexParams
+from .index import Dictionary, FastSSIndex, IndexParams, Match
 
 __all__ = [
     "QueryCase",
@@ -153,21 +153,24 @@ def perturb(dictionary: Dictionary, count: int, max_errors: int, seed: int) -> W
 
 
 def run_benchmark(dictionary: Dictionary, params: IndexParams, workload: Workload,
-                  dataset: str = "", scanner: NaiveScanner | None = None) -> BenchReport:
+                  dataset: str = "", expected: Sequence[list[Match]] | None = None
+                  ) -> BenchReport:
     """Build an index, answer the whole workload, and cross-check every
-    result against the exhaustive scan. Raises LosslessnessError on the
-    first disagreement."""
+    result against the exhaustive scan. ``expected`` holds the scan's
+    answers in workload order; without it, every query is scanned here.
+    Raises LosslessnessError on the first disagreement."""
     start = time.perf_counter()
     index = FastSSIndex.build(dictionary, params)
     build_ms = (time.perf_counter() - start) * 1e3
 
-    if scanner is None:
-        scanner = NaiveScanner(dictionary)
     d = params.max_distance
+    if expected is None:
+        scanner = NaiveScanner(dictionary)
+        expected = [scanner.scan(case.query, d) for case in workload.cases]
     times_us = []
     candidate_total = 0
     match_total = 0
-    for case in workload.cases:
+    for case, answer in zip(workload.cases, expected, strict=True):
         # What search does, with the candidates kept for the count.
         start = time.perf_counter()
         ids = index.candidates(case.query)
@@ -175,8 +178,7 @@ def run_benchmark(dictionary: Dictionary, params: IndexParams, workload: Workloa
         times_us.append((time.perf_counter() - start) * 1e6)
         candidate_total += len(ids)
         match_total += len(matches)
-        expected = scanner.scan(case.query, d)
-        if matches != expected:
+        if matches != answer:
             raise LosslessnessError(
                 f"match set differs from exhaustive scan for query "
                 f"{case.query!r} (d={d}, m={params.split_threshold}, "
@@ -235,7 +237,7 @@ def compare_baselines(dictionary: Dictionary, max_distance: int, workload: Workl
     split_at = max(1, round(dictionary.mean_length()))
     for m in (None, split_at):
         reports.append(run_benchmark(dictionary, IndexParams(d, m), workload,
-                                     dataset=dataset, scanner=scanner))
+                                     dataset=dataset, expected=reference))
     return reports
 
 

@@ -4,9 +4,10 @@ queries.
 Every dictionary word contributes the hashed residuals of its deletion
 neighborhood; a query probes the same keys and verifies the surviving
 candidates with one bit-vector edit-distance verifier per query. Words
-longer than the splitting threshold m are instead split in half and each
-half is indexed with floor(d/2) edits. This shrinks the index
-dramatically while queries compensate by probing several split positions.
+longer than the splitting threshold m are instead stored as two halves of
+floor(d/2) edits each, which shrinks the index dramatically, while queries
+compensate by probing several split positions. ``IndexParams.word_parts``
+and ``IndexParams.query_parts`` are that plan.
 
 The posting table is three flat, read-only numpy arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
@@ -95,10 +96,8 @@ class IndexParams:
     ``max_distance`` is the largest edit distance queries can ask for.
     ``split_threshold`` is the word length above which entries are split
     (None: never split); a finite threshold must be positive, since a
-    split word needs two characters.
-
-    ``half_budget`` is the edit budget each half of a split word is indexed
-    and probed with: floor(d/2) (see ``split_positions`` for why).
+    split word needs two characters. ``word_parts`` and ``query_parts``
+    are the parts (``Part`` tuples) a word stores and a query probes.
     """
 
     max_distance: int
@@ -110,10 +109,29 @@ class IndexParams:
         if self.split_threshold is not None and self.split_threshold < 1:
             raise ValueError("split_threshold must be positive")
 
-    @property
-    def half_budget(self) -> int:
-        """Error budget for each half of a split word."""
-        return self.max_distance // 2
+    def word_parts(self, length: int) -> list[Part]:
+        """The parts a word of ``length`` characters stores: the whole word
+        with d deletions, or above m the halves ``split_word`` cuts, with
+        floor(d/2) each."""
+        d, m = self.max_distance, self.split_threshold
+        if m is None or length <= m:
+            return [(0, length, d, HalfTag.WHOLE)]
+        cut = (length + 1) // 2  # as in split_word
+        return [(0, cut, d // 2, HalfTag.PREFIX), (cut, length, d // 2, HalfTag.SUFFIX)]
+
+    def query_parts(self, length: int) -> list[Part]:
+        """The parts a query of ``length`` characters probes. The whole
+        query with d deletions if an unsplit word (length <= m) can match,
+        that is if length <= m + d; unbounded m never splits. Both halves at
+        every cut of ``split_positions``, floor(d/2) each (see there for
+        why), if a split word (length >= m + 1) can match: length >= m + 1 - d."""
+        d, m = self.max_distance, self.split_threshold
+        parts = [(0, length, d, HalfTag.WHOLE)] if m is None or length <= m + d else []
+        if m is not None and length >= m - d + 1:
+            for cut in split_positions(length, d):
+                parts.append((0, cut, d // 2, HalfTag.PREFIX))
+                parts.append((cut, length, d // 2, HalfTag.SUFFIX))
+        return parts
 
 
 @dataclass(frozen=True)
@@ -187,17 +205,7 @@ class FastSSIndex:
 
         ``residual_key_pairs`` hashes each word's distinct keys; one sort
         by (key, id) then lays the pairs out as the posting table."""
-        d = params.max_distance
-        m = params.split_threshold
-        half = params.half_budget
-
-        def parts(length: int) -> list[Part]:
-            if m is None or length <= m:
-                return [(0, length, d, HalfTag.WHOLE)]
-            cut = (length + 1) // 2  # as in split_word
-            return [(0, cut, half, HalfTag.PREFIX), (cut, length, half, HalfTag.SUFFIX)]
-
-        unsorted, ids = residual_key_pairs(dictionary.words, parts)
+        unsorted, ids = residual_key_pairs(dictionary.words, params.word_parts)
         order = np.lexsort((ids, unsorted))
         ids = ids[order]
         keys = unsorted[order]
@@ -231,28 +239,14 @@ class FastSSIndex:
         """
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
-        d = self._params.max_distance
-        m = self._params.split_threshold
-
         # No word matches a query more than d characters longer than the
         # longest word, so such a query costs nothing to enumerate.
-        if len(query) > self._longest + d or not len(self._keys):
+        if len(query) > self._longest + self._params.max_distance or not len(self._keys):
             return []
 
         keys: set[int] = set()
-        # Whole-word probe: an unsplit word has length <= m, so a match
-        # implies len(query) <= m + d. Unbounded m never splits.
-        if m is None or len(query) <= m + d:
-            keys |= residual_keys(query, d, HalfTag.WHOLE)
-
-        # Split probes: a split word has length >= m + 1, so a match
-        # implies len(query) >= m + 1 - d.
-        if m is not None and len(query) >= m - d + 1:
-            half = self._params.half_budget
-            for cut in split_positions(len(query), d):
-                keys |= residual_keys(query[:cut], half, HalfTag.PREFIX)
-                keys |= residual_keys(query[cut:], half, HalfTag.SUFFIX)
-
+        for start, stop, k, tag in self._params.query_parts(len(query)):
+            keys |= residual_keys(query[start:stop], k, tag)
         probes = np.fromiter(keys, dtype=np.uint64, count=len(keys))
         rows = self._keys.searchsorted(probes)
         rows = rows[self._keys.take(rows, mode="clip") == probes]

@@ -38,7 +38,10 @@ _PRIME = np.uint64(_FNV_PRIME)
 
 BLOCK_STATES = 4096
 """Most hash states one block of ``residual_key_pairs`` holds; a word with
-more states is a block of its own."""
+more states is a block of its own. Blocks keep the build's temporaries
+(4,096 states are 32 kB) below glibc's initial 128 kB mmap threshold.
+Larger ones are mmapped, and freeing one raises that threshold, so the
+memory a build leaves resident would depend on the allocations around it."""
 
 
 class HalfTag(IntEnum):

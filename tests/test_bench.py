@@ -137,6 +137,24 @@ def test_compare_baselines_rows_agree(small_dictionary):
     assert split.stored_pairs < unsplit.stored_pairs
 
 
+def test_compare_baselines_scans_each_query_once(small_dictionary, monkeypatch):
+    # The scan's answers are timed as the naive row and then reused as the
+    # reference of the BK-tree and of both index rows.
+    from fastss import baselines
+
+    workload = perturb(small_dictionary, 30, 2, seed=11)
+    original = baselines.NaiveScanner.scan
+    calls = []
+
+    def counted(self, query, max_distance):
+        calls.append(query)
+        return original(self, query, max_distance)
+
+    monkeypatch.setattr(baselines.NaiveScanner, "scan", counted)
+    compare_baselines(small_dictionary, 2, workload)
+    assert calls == [case.query for case in workload.cases]
+
+
 def test_csv_schema(tmp_path, small_dictionary):
     workload = perturb(small_dictionary, 10, 1, seed=8)
     reports = compare_baselines(small_dictionary, 1, workload, dataset="unit")

@@ -58,10 +58,31 @@ def test_params_validation():
         IndexParams(-1)
     with pytest.raises(ValueError):
         IndexParams(2, 0)
-    # floor(d/2) for every split threshold.
+    # The index plan, against the rule written out here. A word is stored
+    # whole with d edits when m is None or it has at most m characters, and
+    # otherwise as split_word's halves with floor(d/2) each. A query probes
+    # itself whole exactly when an unsplit word can match (m is None or
+    # L <= m + d), and both halves at every split position, floor(d/2) each,
+    # exactly when a split word can (L >= m - d + 1).
+    whole, prefix, suffix = HalfTag.WHOLE, HalfTag.PREFIX, HalfTag.SUFFIX
     for d in range(6):
         for m in (None, 1, 2, 3, 6, 7, 11):
-            assert IndexParams(d, m).half_budget == d // 2, (d, m)
+            params = IndexParams(d, m)
+            for length in range(21):
+                if m is None or length <= m:
+                    stored = [(0, length, d, whole)]
+                else:
+                    cut = len(split_word("x" * length)[0])
+                    stored = [(0, cut, d // 2, prefix), (cut, length, d // 2, suffix)]
+                assert params.word_parts(length) == stored, (d, m, length)
+
+                probed = []
+                if m is None or length <= m + d:
+                    probed.append((0, length, d, whole))
+                if m is not None and length >= m - d + 1:
+                    for cut in split_positions(length, d):
+                        probed += [(0, cut, d // 2, prefix), (cut, length, d // 2, suffix)]
+                assert params.query_parts(length) == probed, (d, m, length)
 
 
 def test_split_word():
@@ -108,15 +129,15 @@ def test_build_stored_pairs_equal_neighborhood_sizes():
 def reference_table(words, params):
     """The posting table as (key, id) pairs sorted by key, then id: each
     word's residual_keys, its halves' keys unioned when it is split."""
-    d, m, half = params.max_distance, params.split_threshold, params.half_budget
+    d, m = params.max_distance, params.split_threshold
     keys, ids = [], []
     for word_id, word in enumerate(words):
         if m is None or len(word) <= m:
             word_keys = residual_keys(word, d, HalfTag.WHOLE)
         else:
             prefix, suffix = split_word(word)
-            word_keys = (residual_keys(prefix, half, HalfTag.PREFIX)
-                         | residual_keys(suffix, half, HalfTag.SUFFIX))
+            word_keys = (residual_keys(prefix, d // 2, HalfTag.PREFIX)
+                         | residual_keys(suffix, d // 2, HalfTag.SUFFIX))
         keys += word_keys
         ids += [word_id] * len(word_keys)
     keys = np.array(keys, dtype=np.uint64)
@@ -331,7 +352,7 @@ def test_losslessness_exhaustive_split_words():
     scanner = NaiveScanner(dictionary)
     for m in (4, 7):
         params = IndexParams(3, m)
-        assert params.half_budget == 1
+        assert [k for _, _, k, _ in params.word_parts(8)] == [3 // 2, 3 // 2]
         assert all(len(w) > params.split_threshold for w in words)
         idx = FastSSIndex.build(dictionary, params)
         checks = 0
