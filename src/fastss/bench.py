@@ -98,10 +98,11 @@ class LosslessnessError(RuntimeError):
 
 
 def load_dictionary(path: str | Path) -> Dictionary:
-    """Read a one-word-per-line UTF-8 file. Trailing newlines (and a
-    carriage return before them) are stripped, blank lines are skipped and
-    duplicate lines are dropped keeping the first occurrence."""
-    data = Path(path).read_bytes()
+    """Read a one-word-per-line UTF-8 file. A leading byte-order mark and
+    trailing newlines (and a carriage return before them) are stripped,
+    blank lines are skipped and duplicate lines are dropped keeping the
+    first occurrence."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     words = []
     seen = set()
     for lineno, raw in enumerate(data.split(b"\n"), 1):
@@ -129,8 +130,9 @@ def perturb(dictionary: Dictionary, count: int, max_errors: int, seed: int) -> W
     characters uniform over a-z. Same seed, same workload."""
     if len(dictionary) == 0:
         raise ValueError("cannot perturb an empty dictionary")
-    if max_errors < 0:
-        raise ValueError("max_errors must be non-negative")
+    if count < 0 or max_errors < 0:
+        raise ValueError(f"count ({count}) and max_errors ({max_errors}) "
+                         "must be non-negative")
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
@@ -159,106 +161,73 @@ def run_benchmark(dictionary: Dictionary, params: IndexParams, workload: Workloa
     result against the exhaustive scan. ``expected`` holds the scan's
     answers in workload order; without it, every query is scanned here.
     Raises LosslessnessError on the first disagreement."""
-    start = time.perf_counter()
-    index = FastSSIndex.build(dictionary, params)
-    build_ms = (time.perf_counter() - start) * 1e3
-
     d = params.max_distance
     if expected is None:
         scanner = NaiveScanner(dictionary)
         expected = [scanner.scan(case.query, d) for case in workload.cases]
-    times_us = []
-    candidate_total = 0
-    match_total = 0
-    for case, answer in zip(workload.cases, expected, strict=True):
-        # What search does, with the candidates kept for the count.
-        start = time.perf_counter()
-        ids = index.candidates(case.query)
-        matches = index._verify(case.query, ids)
-        times_us.append((time.perf_counter() - start) * 1e6)
-        candidate_total += len(ids)
-        match_total += len(matches)
-        if matches != answer:
-            raise LosslessnessError(
-                f"match set differs from exhaustive scan for query "
-                f"{case.query!r} (d={d}, m={params.split_threshold}, "
-                f"seed={workload.seed})")
-    return _report(dataset, dictionary, d, params.split_threshold,
-                   index.stats.stored_pairs, index.stats.distinct_keys,
-                   build_ms, times_us, candidate_total, match_total,
-                   "fastss", workload)
+    report, _ = _measure("fastss", lambda: FastSSIndex.build(dictionary, params),
+                         _index_answer, dictionary, workload, d=d,
+                         m=params.split_threshold, dataset=dataset, reference=expected)
+    return report
 
 
 def compare_baselines(dictionary: Dictionary, max_distance: int, workload: Workload,
                       dataset: str = "") -> list[BenchReport]:
     """One row per method over a shared workload: exhaustive scan, BK-tree,
     unsplit index, and an index split at the rounded mean word length. All
-    four must agree on every query."""
+    four must agree on every query; the scan's answers are the reference."""
     d = max_distance
-    reports = []
-
-    start = time.perf_counter()
-    scanner = NaiveScanner(dictionary)
-    scanner_build_ms = (time.perf_counter() - start) * 1e3
-    times_us = []
-    reference = []
-    match_total = 0
-    for case in workload.cases:
-        start = time.perf_counter()
-        matches = scanner.scan(case.query, d)
-        times_us.append((time.perf_counter() - start) * 1e6)
-        reference.append(matches)
-        match_total += len(matches)
-    reports.append(_report(dataset, dictionary, d, None, None, None,
-                           scanner_build_ms, times_us,
-                           len(dictionary) * len(workload), match_total,
-                           "naive", workload))
-
-    start = time.perf_counter()
-    tree = BKTree.build(dictionary)
-    tree_build_ms = (time.perf_counter() - start) * 1e3
-    times_us = []
-    computation_total = 0
-    match_total = 0
-    for case, expected in zip(workload.cases, reference):
-        start = time.perf_counter()
-        matches, computations = tree.query(case.query, d)
-        times_us.append((time.perf_counter() - start) * 1e6)
-        computation_total += computations
-        match_total += len(matches)
-        if matches != expected:
-            raise LosslessnessError(
-                f"bktree disagrees with exhaustive scan for query "
-                f"{case.query!r} (d={d}, seed={workload.seed})")
-    reports.append(_report(dataset, dictionary, d, None, None, None,
-                           tree_build_ms, times_us, computation_total,
-                           match_total, "bktree", workload))
-
+    naive, reference = _measure(
+        "naive", lambda: NaiveScanner(dictionary),
+        lambda scanner, query: (scanner.scan(query, d), len(dictionary)),
+        dictionary, workload, d=d, dataset=dataset)
+    bktree, _ = _measure("bktree", lambda: BKTree.build(dictionary),
+                         lambda tree, query: tree.query(query, d),
+                         dictionary, workload, d=d, dataset=dataset, reference=reference)
     split_at = max(1, round(dictionary.mean_length()))
-    for m in (None, split_at):
-        reports.append(run_benchmark(dictionary, IndexParams(d, m), workload,
-                                     dataset=dataset, expected=reference))
-    return reports
+    return [naive, bktree] + [
+        run_benchmark(dictionary, IndexParams(d, m), workload, dataset, reference)
+        for m in (None, split_at)]
 
 
-def _report(dataset, dictionary, d, m, stored_pairs, distinct_keys, build_ms,
-            times_us, candidate_total, match_total, method, workload) -> BenchReport:
+def _index_answer(index: FastSSIndex, query: str) -> tuple[list[Match], int]:
+    # What search does, with the candidates kept for the count.
+    ids = index.candidates(query)
+    return index._verify(query, ids), len(ids)
+
+
+def _measure(method, build, answer, dictionary, workload, *, d, m=None, dataset,
+             reference=None) -> tuple[BenchReport, list[list[Match]]]:
+    """Time ``build()``, then ``answer(built, query)`` on each query: its
+    matches and the work they took (candidates or distance computations).
+    Every answer must equal ``reference``'s, when that is given. Returns
+    the report and the answers in workload order."""
+    start = time.perf_counter()
+    built = build()
+    build_ms = (time.perf_counter() - start) * 1e3
+    times_us, answers, work = [], [], 0
+    expected = [None] * len(workload) if reference is None else reference
+    for case, want in zip(workload.cases, expected, strict=True):
+        start = time.perf_counter()
+        matches, cost = answer(built, case.query)
+        times_us.append((time.perf_counter() - start) * 1e6)
+        answers.append(matches)
+        work += cost
+        if want is not None and matches != want:
+            raise LosslessnessError(
+                f"{method} disagrees with the exhaustive scan for query "
+                f"{case.query!r} (d={d}, m={m}, seed={workload.seed})")
+    stats = getattr(built, "stats", None)  # only an index has a table
     count = max(len(workload), 1)
     return BenchReport(
-        dataset=dataset,
-        n=len(dictionary),
-        d=d,
-        m=m,
-        stored_pairs=stored_pairs,
-        distinct_keys=distinct_keys,
-        build_ms=build_ms,
-        mean_query_us=sum(times_us) / count if times_us else 0.0,
-        median_query_us=statistics.median(times_us) if times_us else 0.0,
-        mean_cand=candidate_total / count,
-        mean_matches=match_total / count,
-        method=method,
-        seed=workload.seed,
-    )
+        dataset=dataset, n=len(dictionary), d=d, m=m,
+        stored_pairs=stats and stats.stored_pairs,
+        distinct_keys=stats and stats.distinct_keys,
+        build_ms=build_ms, mean_query_us=sum(times_us) / count,
+        median_query_us=statistics.median(times_us or [0.0]),
+        mean_cand=work / count, mean_matches=sum(map(len, answers)) / count,
+        method=method, seed=workload.seed,
+    ), answers
 
 
 def write_csv(reports: list[BenchReport], path: str | Path) -> None:

@@ -119,27 +119,24 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    dictionary = load_dictionary(args.dict)
-    workload = perturb(dictionary, args.queries, args.d, args.seed)
-    report = run_benchmark(dictionary, _params(args), workload,
-                           dataset=Path(args.dict).stem)
-    _print_reports([report])
-    if args.csv:
-        write_csv([report], args.csv)
-        print(f"wrote {args.csv}")
+    dictionary, workload = _workload(args)
+    _output([run_benchmark(dictionary, _params(args), workload,
+                           dataset=Path(args.dict).stem)], args.csv)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    dictionary = load_dictionary(args.dict)
-    workload = perturb(dictionary, args.queries, args.d, args.seed)
-    reports = compare_baselines(dictionary, args.d, workload,
-                                dataset=Path(args.dict).stem)
-    _print_reports(reports)
-    if args.csv:
-        write_csv(reports, args.csv)
-        print(f"wrote {args.csv}")
+    dictionary, workload = _workload(args)
+    _output(compare_baselines(dictionary, args.d, workload,
+                              dataset=Path(args.dict).stem), args.csv)
     return 0
+
+
+def _workload(args):
+    if args.queries < 1:
+        raise ValueError(f"--queries must be at least 1, not {args.queries}")
+    dictionary = load_dictionary(args.dict)
+    return dictionary, perturb(dictionary, args.queries, args.d, args.seed)
 
 
 def _cmd_expect(args) -> int:
@@ -150,7 +147,7 @@ def _cmd_expect(args) -> int:
     return 0
 
 
-def _print_reports(reports) -> None:
+def _output(reports, csv_path) -> None:
     for r in reports:
         if r.method == "fastss":
             m_text = "inf" if r.m is None else str(r.m)
@@ -162,6 +159,9 @@ def _print_reports(reports) -> None:
               f"build={r.build_ms:.1f}ms query={r.mean_query_us:.1f}us "
               f"(median {r.median_query_us:.1f}us) cand={r.mean_cand:.2f} "
               f"matches={r.mean_matches:.3f} seed={r.seed}")
+    if csv_path:
+        write_csv(reports, csv_path)
+        print(f"wrote {csv_path}")
 
 
 if __name__ == "__main__":

@@ -104,6 +104,12 @@ class IndexParams:
     split_threshold: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.max_distance, int):
+            raise TypeError(f"max_distance must be an int, "
+                            f"not {type(self.max_distance).__name__}")
+        if not isinstance(self.split_threshold, (int, type(None))):
+            raise TypeError(f"split_threshold must be an int or None, "
+                            f"not {type(self.split_threshold).__name__}")
         if self.max_distance < 0:
             raise ValueError("max_distance must be non-negative")
         if self.split_threshold is not None and self.split_threshold < 1:

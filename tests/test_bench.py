@@ -42,6 +42,14 @@ def test_load_dictionary_crlf_and_missing_final_newline(tmp_path):
     assert load_dictionary(path).words == ("one", "two", "three")
 
 
+def test_load_dictionary_strips_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfship\nsheep\n")
+    dictionary = load_dictionary(path)
+    assert dictionary.words == ("ship", "sheep")
+    assert FastSSIndex.build(dictionary, IndexParams(1)).search("ship")[0].word_id == 0
+
+
 def test_load_dictionary_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"good\nalso good\n\xff\xfe broken\nmore\n")
@@ -91,6 +99,12 @@ def test_perturb_stays_within_distance(small_dictionary):
 def test_perturb_rejects_empty_dictionary():
     with pytest.raises(ValueError):
         perturb(Dictionary([]), 10, 2, seed=0)
+
+
+def test_perturb_rejects_negative_count(small_dictionary):
+    with pytest.raises(ValueError, match="count"):
+        perturb(small_dictionary, -1, 2, seed=0)
+    assert len(perturb(small_dictionary, 0, 2, seed=0)) == 0
 
 
 def test_run_benchmark_d0_finds_sources(small_dictionary):
@@ -210,3 +224,20 @@ def test_run_benchmark_computes_candidates_once_per_query(small_dictionary, monk
     index = FastSSIndex.build(small_dictionary, IndexParams(2))
     total = sum(len(original(index, case.query)) for case in workload.cases)
     assert report.mean_cand == total / len(workload)
+
+
+def test_bktree_mismatch_reports_context(small_dictionary, monkeypatch):
+    # Every perturbed query is within d of its source word, so each answer
+    # has a match to drop.
+    from fastss import baselines
+
+    workload = perturb(small_dictionary, 10, 2, seed=12)
+    original = baselines.BKTree.query
+
+    def broken_query(self, query, max_distance):
+        matches, computations = original(self, query, max_distance)
+        return matches[:-1], computations
+
+    monkeypatch.setattr(baselines.BKTree, "query", broken_query)
+    with pytest.raises(LosslessnessError, match=r"bktree.*d=2, m=None, seed=12"):
+        compare_baselines(small_dictionary, 2, workload)

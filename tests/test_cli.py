@@ -127,3 +127,16 @@ def test_missing_dictionary_file_fails_cleanly(tmp_path, capsys):
                  "--queries", "5", "--seed", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "compare"])
+@pytest.mark.parametrize("queries", ["0", "-5"])
+def test_bench_and_compare_reject_fewer_than_one_query(dict_file, capsys, command,
+                                                       queries):
+    # An empty workload would print a row of zeros that looks like a result.
+    code = main([command, "--dict", str(dict_file), "--d", "1",
+                 "--queries", queries, "--seed", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--queries" in captured.err
+    assert captured.out == ""

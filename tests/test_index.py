@@ -85,6 +85,17 @@ def test_params_validation():
                 assert params.query_parts(length) == probed, (d, m, length)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((2.0,), "max_distance"), (("2",), "max_distance"),
+    ((2, 3.0), "split_threshold"), ((2, "3"), "split_threshold"),
+])
+def test_params_reject_non_int(args, field):
+    # Without the check, a float d fails later inside the build's range()
+    # and a float m builds and searches, then fails in to_bytes.
+    with pytest.raises(TypeError, match=field):
+        IndexParams(*args)
+
+
 def test_split_word():
     assert split_word("abcdef") == ("abc", "def")
     assert split_word("abcde") == ("abc", "de")  # longer half first
