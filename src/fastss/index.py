@@ -15,8 +15,9 @@ ascending order. A build hashes every word's distinct keys in numpy
 blocks, one word length at a time, and makes one sort of the (key, word
 id) pairs by key, then id; a query enumerates its keys with the scalar
 ``residual_keys`` and looks them all up with one binary search. The file
-stores the same three arrays back to back, so it is written and read with
-one array operation each.
+is a fixed header that gives the size of every section, the words as one
+UTF-8 block, and the same three arrays back to back, so it is written and
+read with one operation per section.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ __all__ = [
 
 UNBOUNDED_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"FSSI"
-_VERSION = 5
+_VERSION = 6
+# magic, version, d, m, words byte length W, key count K, id count N
+_HEADER = struct.Struct("<4sHBIQQQ")
 
 
 class Dictionary:
-    """Ordered list of unique, non-empty ``str`` words. A word's position
-    is its permanent id."""
+    """Ordered list of unique, non-empty ``str`` words without line breaks.
+    A word's position is its permanent id."""
 
     __slots__ = ("_words",)
 
@@ -60,6 +63,8 @@ class Dictionary:
                 raise TypeError(f"word {i} must be str, not {type(w).__name__}")
             if not w:
                 raise ValueError(f"empty word at position {i}")
+            if "\n" in w:
+                raise ValueError(f"word {w!r} at position {i} contains a line break")
             if w in seen:
                 raise ValueError(f"duplicate word {w!r} at position {i}")
             seen.add(w)
@@ -104,15 +109,15 @@ class IndexParams:
     split_threshold: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.max_distance, int):
-            raise TypeError(f"max_distance must be an int, "
-                            f"not {type(self.max_distance).__name__}")
-        if not isinstance(self.split_threshold, (int, type(None))):
+        d, m = self.max_distance, self.split_threshold
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise TypeError(f"max_distance must be an int, not {type(d).__name__}")
+        if isinstance(m, bool) or not isinstance(m, (int, type(None))):
             raise TypeError(f"split_threshold must be an int or None, "
-                            f"not {type(self.split_threshold).__name__}")
-        if self.max_distance < 0:
+                            f"not {type(m).__name__}")
+        if d < 0:
             raise ValueError("max_distance must be non-negative")
-        if self.split_threshold is not None and self.split_threshold < 1:
+        if m is not None and m < 1:
             raise ValueError("split_threshold must be positive")
 
     def word_parts(self, length: int) -> list[Part]:
@@ -297,12 +302,13 @@ class FastSSIndex:
 
     # -- on-disk format ----------------------------------------------------
     #
-    # Little-endian:  magic "FSSI" | version u16 | d u8 | m u32 (0xFFFFFFFF
-    # = never split) | word count u32 | words as (u16 UTF-8 byte length,
-    # bytes) | distinct key count K u64 | the posting table as its three
-    # arrays: K strictly ascending u64 keys, K u32 id counts, and all word
-    # ids as u32, ascending within each key, in key order. The version
-    # names the key set: it is determined by the words and (d, m).
+    # Little-endian. A 35-byte header: magic "FSSI" | version u16 | d u8 |
+    # m u32 (0xFFFFFFFF = never split) | words byte length W u64 | distinct
+    # key count K u64 | id count N u64. Then the words, UTF-8, joined by
+    # "\n" (W bytes), and the posting table as its three arrays: K strictly
+    # ascending u64 keys, K u32 id counts, and the N word ids as u32,
+    # ascending within each key, in key order. The version names the key
+    # set: it is determined by the words and (d, m).
 
     def to_bytes(self) -> bytes:
         d = self._params.max_distance
@@ -311,32 +317,26 @@ class FastSSIndex:
             raise ValueError("max_distance does not fit the file format (u8)")
         if m is not None and m >= UNBOUNDED_SENTINEL:
             raise ValueError("split_threshold does not fit the file format (u32)")
-        out = bytearray()
-        out += _MAGIC
-        out += struct.pack("<HBI", _VERSION, d,
-                           UNBOUNDED_SENTINEL if m is None else m)
-        out += struct.pack("<I", len(self._dictionary))
-        for word in self._dictionary:
-            encoded = word.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise ValueError(f"word too long for file format: {word[:32]!r}...")
-            out += struct.pack("<H", len(encoded))
-            out += encoded
-        out += struct.pack("<Q", len(self._keys))
-        out += self._keys.astype("<u8").tobytes()
-        out += np.diff(self._offsets).astype("<u4").tobytes()
-        out += self._ids.astype("<u4").tobytes()
-        return bytes(out)
+        words = "\n".join(self._dictionary.words).encode("utf-8")
+        header = _HEADER.pack(_MAGIC, _VERSION, d, UNBOUNDED_SENTINEL if m is None else m,
+                              len(words), len(self._keys), len(self._ids))
+        return b"".join((header, words, self._keys.astype("<u8"),
+                         np.diff(self._offsets).astype("<u4"), self._ids.astype("<u4")))
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "FastSSIndex":
-        reader = _Reader(data)
-        magic = reader.take(4, "magic")
-        if magic != _MAGIC:
-            raise IndexFormatError(f"bad magic {magic!r} at byte 0")
-        version, d, m_raw = reader.unpack("<HBI", "header")
-        if version != _VERSION:
+    def from_bytes(cls, data) -> "FastSSIndex":
+        """The index that ``to_bytes`` wrote to ``data``, any bytes-like
+        object. Raises ``IndexFormatError``, naming a byte, for anything
+        ``to_bytes`` would not write."""
+        view = memoryview(data).cast("B")
+        if view[:4] != _MAGIC:
+            raise IndexFormatError(f"bad magic {bytes(view[:4])!r} at byte 0")
+        version = int.from_bytes(view[4:6], "little")
+        if len(view) >= 6 and version != _VERSION:
             raise IndexFormatError(f"unsupported format version {version} at byte 4")
+        if len(view) < _HEADER.size:
+            raise IndexFormatError(f"truncated header: the data ends at byte {len(view)}")
+        _, _, d, m_raw, words_len, key_count, id_count = _HEADER.unpack_from(view)
         m = None if m_raw == UNBOUNDED_SENTINEL else m_raw
         try:
             params = IndexParams(d, m)
@@ -344,53 +344,46 @@ class FastSSIndex:
             raise IndexFormatError(
                 f"invalid parameters in header at byte 6: {exc}") from exc
 
-        (word_count,) = reader.unpack("<I", "word count")
-        words = []
-        for i in range(word_count):
-            (byte_len,) = reader.unpack("<H", f"length of word {i}")
-            raw = reader.take(byte_len, f"bytes of word {i}")
-            try:
-                words.append(raw.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise IndexFormatError(
-                    f"word {i} is not valid UTF-8 (at byte {reader.offset - byte_len})"
-                ) from exc
-        try:
-            dictionary = Dictionary(words)
-        except ValueError as exc:
-            raise IndexFormatError(
-                f"invalid dictionary (words end at byte {reader.offset}): {exc}") from exc
-
-        (key_count,) = reader.unpack("<Q", "key count")
-        keys_at = reader.offset
-        if key_count * 12 > len(data) - keys_at:
-            raise IndexFormatError(
-                f"key count {key_count} at byte {keys_at - 8} needs at least "
-                f"{key_count * 12} bytes, {len(data) - keys_at} remain")
+        # The one size check: nothing below allocates more than the data holds.
+        keys_at = _HEADER.size + words_len
         counts_at = keys_at + 8 * key_count
         ids_at = counts_at + 4 * key_count
-        # Copies into native arrays, so queries never read the unaligned file.
-        keys = np.frombuffer(data, "<u8", key_count, keys_at).astype(np.uint64)
-        offsets = np.zeros(key_count + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(data, "<u4", key_count, counts_at), dtype=np.int64,
-                  out=offsets[1:])
-        end = ids_at + 4 * int(offsets[-1])
-        if end > len(data):
-            # The first key whose ids end past the data.
-            k = int(offsets.searchsorted((len(data) - ids_at) // 4, side="right")) - 1
+        end = ids_at + 4 * id_count
+        if end != len(view):
             raise IndexFormatError(
-                f"truncated while reading ids of key {k}: its id count at byte "
-                f"{counts_at + 4 * k} runs past the end at byte {len(data)}")
-        if end < len(data):
-            raise IndexFormatError(f"{len(data) - end} trailing bytes at byte {end}")
-        ids = np.frombuffer(data, "<u4", int(offsets[-1]), ids_at).astype(np.uint32)
+                f"{'truncated' if end > len(view) else 'trailing bytes'}: the data has "
+                f"{len(view)} bytes, the sizes at byte 11 (words), byte 19 (keys) and "
+                f"byte 27 (ids) give {end}")
+        try:
+            text = str(view[_HEADER.size:keys_at], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(
+                f"words not valid UTF-8 at byte {_HEADER.size + exc.start}") from exc
+        try:
+            dictionary = Dictionary(text.split("\n") if text else [])
+        except ValueError as exc:
+            raise IndexFormatError(
+                f"invalid dictionary in the words at byte {_HEADER.size}: {exc}") from exc
+
+        # Copies into native arrays, so queries never read the unaligned file.
+        keys = np.frombuffer(view, "<u8", key_count, keys_at).astype(np.uint64)
+        offsets = np.zeros(key_count + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(view, "<u4", key_count, counts_at), dtype=np.int64,
+                  out=offsets[1:])
+        if offsets[-1] != id_count:
+            k = int(offsets.searchsorted(id_count, side="right")) - 1  # the first past N
+            where = (f"the id count of key {k} at byte {counts_at + 4 * k} runs past"
+                     if offsets[-1] > id_count
+                     else f"the id counts at byte {counts_at} fall short of")
+            raise IndexFormatError(f"{where} the {id_count} ids that byte 27 gives")
+        ids = np.frombuffer(view, "<u4", id_count, ids_at).astype(np.uint32)
 
         descending = np.flatnonzero(keys[1:] <= keys[:-1])
         if descending.size:
             k = descending[0] + 1
             raise IndexFormatError(
                 f"key {k} not above the previous key at byte {keys_at + 8 * k}")
-        out_of_range = np.flatnonzero(ids >= word_count)
+        out_of_range = np.flatnonzero(ids >= len(dictionary))
         if out_of_range.size:
             i = out_of_range[0]
             raise IndexFormatError(
@@ -419,22 +412,3 @@ def _run_starts(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
 class IndexFormatError(ValueError):
     """Raised when serialized index bytes cannot be parsed."""
-
-
-class _Reader:
-    __slots__ = ("data", "offset")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.offset + count > len(self.data):
-            raise IndexFormatError(
-                f"truncated while reading {what} at byte {self.offset}")
-        chunk = self.data[self.offset:self.offset + count]
-        self.offset += count
-        return chunk
-
-    def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))

@@ -14,17 +14,13 @@ from fastss.index import Dictionary, FastSSIndex, IndexFormatError, IndexParams
 
 
 class Table(NamedTuple):
-    """The posting table of a blob as read by hand: where its key count
-    sits, and its three arrays."""
+    """The posting table of a blob as read by hand from the sizes in its
+    header: where its keys start, and its three arrays."""
 
-    key_count_at: int
+    keys_at: int
     keys: tuple[int, ...]
     counts: tuple[int, ...]
     ids: tuple[int, ...]
-
-    @property
-    def keys_at(self) -> int:
-        return self.key_count_at + 8
 
     @property
     def counts_at(self) -> int:
@@ -39,20 +35,19 @@ class Table(NamedTuple):
         return self.ids_at + 4 * sum(self.counts[:k])
 
 
+HEADER_SIZE = 35
+SIZE_FIELDS = {"words": 11, "keys": 19, "ids": 27}  # W, K and N, each u64
+
+
 def layout(blob: bytes) -> Table:
     """Read the three sections of the posting table of a blob by hand."""
-    (word_count,) = struct.unpack_from("<I", blob, 11)
-    pos = 15
-    for _ in range(word_count):
-        (length,) = struct.unpack_from("<H", blob, pos)
-        pos += 2 + length
-    key_count_at = pos
-    (key_count,) = struct.unpack_from("<Q", blob, pos)
-    keys = struct.unpack_from(f"<{key_count}Q", blob, pos + 8)
-    counts = struct.unpack_from(f"<{key_count}I", blob, pos + 8 + 8 * key_count)
-    ids = struct.unpack_from(f"<{sum(counts)}I", blob, pos + 8 + 12 * key_count)
-    table = Table(key_count_at, keys, counts, ids)
-    assert table.ids_at + 4 * len(ids) == len(blob)
+    words_len, key_count, id_count = struct.unpack_from("<3Q", blob, 11)
+    keys_at = HEADER_SIZE + words_len
+    keys = struct.unpack_from(f"<{key_count}Q", blob, keys_at)
+    counts = struct.unpack_from(f"<{key_count}I", blob, keys_at + 8 * key_count)
+    ids = struct.unpack_from(f"<{id_count}I", blob, keys_at + 12 * key_count)
+    table = Table(keys_at, keys, counts, ids)
+    assert sum(counts) == id_count and table.ids_at + 4 * id_count == len(blob)
     return table
 
 
@@ -67,25 +62,23 @@ def shared_key(table: Table) -> int:
 
 
 def test_file_bytes_of_bundled_list_are_pinned():
-    # Each key costs 12 bytes and each id 4, as in versions 1 to 4. The
-    # bundled list is all ASCII, whose code points are its UTF-8 bytes, so
-    # both files differ from version 4 only in their version field: with it
-    # set back to 4 they hash to the version 4 digests, and no key moved.
+    # Each key costs 12 bytes and each id 4, as in every version. The table
+    # section, the last 12K + 4N bytes, hashes to the digest it had in
+    # version 5: no key and no id moved when the header and words changed.
     dictionary = load_dictionary(bundled_words_path())
-    for params, length, digest, digest_v4 in [
-        (IndexParams(2), 9_419_874,
-         "a967852d2261c70eed8982101e13ca260a63e12de8d41d9e8a6ebd3204e5ed01",
-         "090c5f80e4a00dfc8f1c1b8e709886b946fd13fb4218fe82b7f446919d732028"),
-        (IndexParams(3, 7), 4_206_742,
-         "a3d8505bf3d2472aef4f82d50328afd93d63e481a8a4fbfcdb9ccefacdf81dd8",
-         "8b628bb094045524d8561be359d2f82d2dc1ca0bf8492e1251507f487c5fb74d"),
+    for params, length, digest, table_digest in [
+        (IndexParams(2), 9_399_885,
+         "6f37f0dcee0b926770a47ca19f8937d5c4a01556187d6567d4bcfe5810b5c190",
+         "e91c54544c11d65aec1205fa474303c7bad2e19db3d47f9e7da8d6d8e5342fd0"),
+        (IndexParams(3, 7), 4_186_753,
+         "afdb3c8aa4da66037366721d36399189db53a34283426e0a03eefe32ba2c81cb",
+         "6f226686729b7ed41303dc6c5c5bdb1c28de8c1db86fb265beaee7a541077890"),
     ]:
         blob = FastSSIndex.build(dictionary, params).to_bytes()
         assert len(blob) == length, params
         assert hashlib.sha256(blob).hexdigest() == digest, params
-        as_v4 = bytearray(blob)
-        struct.pack_into("<H", as_v4, 4, 4)
-        assert hashlib.sha256(as_v4).hexdigest() == digest_v4, params
+        table = hashlib.sha256(blob[layout(blob).keys_at:]).hexdigest()
+        assert table == table_digest, params
 
 
 def test_word_id_out_of_range_names_its_byte():
@@ -121,59 +114,77 @@ def test_keys_not_ascending_name_their_byte(change):
         FastSSIndex.from_bytes(bytes(blob))
 
 
+def assert_size_check_fails(field: str, new: int) -> None:
+    """Set one size in the header to new and expect the size check to
+    reject the blob, naming that size's byte and the length it implies."""
+    blob = bytearray(small_blob())
+    at = SIZE_FIELDS[field]
+    (size,) = struct.unpack_from("<Q", blob, at)
+    struct.pack_into("<Q", blob, at, new)
+    end = len(blob) + (new - size) * {"words": 1, "keys": 12, "ids": 4}[field]
+    with pytest.raises(IndexFormatError,
+                       match=rf"^truncated: the data has {len(blob)} bytes, .*"
+                             rf"byte {at} \({field}\).* give {end}$"):
+        FastSSIndex.from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("field", ["words", "ids"])
+@pytest.mark.parametrize("inflate", ["max", "one_more"])
+def test_inflated_size_field_fails_size_check(field, inflate):
+    # A size of 2**64 - 1 is rejected from the sizes alone, before the
+    # reader allocates anything for the words or the table.
+    (size,) = struct.unpack_from("<Q", small_blob(), SIZE_FIELDS[field])
+    assert_size_check_fails(field, 2**64 - 1 if inflate == "max" else size + 1)
+
+
 @pytest.mark.parametrize("key_count", [2**64 - 1, 2**40])
 def test_inflated_key_count_rejected_before_reading_entries(key_count):
-    blob = bytearray(small_blob())
-    at = layout(blob).key_count_at
-    struct.pack_into("<Q", blob, at, key_count)
-    with pytest.raises(IndexFormatError, match=rf"key count {key_count} at byte {at} needs"):
-        FastSSIndex.from_bytes(bytes(blob))
+    assert_size_check_fails("keys", key_count)
 
 
 def test_key_count_one_too_many_is_truncation():
-    blob = bytearray(small_blob())
-    table = layout(blob)
-    key_count = len(table.keys) + 1
-    struct.pack_into("<Q", blob, table.key_count_at, key_count)
-    # The reader now takes the id counts from 8 bytes further on and the
-    # ids from 12 bytes further on; find the first count that overruns.
-    counts_at = table.keys_at + 8 * key_count
-    end = counts_at + 4 * key_count
-    for k, count in enumerate(struct.unpack_from(f"<{key_count}I", blob, counts_at)):
-        end += 4 * count
-        if end > len(blob):
-            break
-    else:
-        pytest.fail("the shifted counts fit the blob")
-    with pytest.raises(IndexFormatError,
-                       match=rf"truncated while reading ids of key {k}: its id count at "
-                             rf"byte {counts_at + 4 * k} runs past the end at byte {len(blob)}$"):
-        FastSSIndex.from_bytes(bytes(blob))
+    assert_size_check_fails("keys", len(layout(small_blob()).keys) + 1)
 
 
 @pytest.mark.parametrize("count", [0xFFFFFFFF, 2**30])
 def test_inflated_id_count_names_its_byte(count):
-    blob = bytearray(small_blob())
-    at = layout(blob).counts_at
-    struct.pack_into("<I", blob, at, count)
-    with pytest.raises(IndexFormatError,
-                       match=rf"truncated while reading ids of key 0: its id count at "
-                             rf"byte {at} runs past the end at byte {len(blob)}$"):
-        FastSSIndex.from_bytes(bytes(blob))
+    # The first and the last key: the running sum passes N at the count raised.
+    table = layout(small_blob())
+    for k in (0, len(table.keys) - 1):
+        blob = bytearray(small_blob())
+        at = table.counts_at + 4 * k
+        struct.pack_into("<I", blob, at, count)
+        with pytest.raises(IndexFormatError,
+                           match=rf"^the id count of key {k} at byte {at} runs past "
+                                 rf"the {len(table.ids)} ids that byte 27 gives$"):
+            FastSSIndex.from_bytes(bytes(blob))
 
 
 def test_every_format_error_names_a_byte():
     # One blob per kind of damage, each reaching a different check.
-    blob = small_blob()
-    at = layout(blob).key_count_at
-    damaged = [blob[:3], blob[:20], blob + b"\x00", b"XXXX" + blob[4:]]
-    # version, split threshold 0, an empty word, bad UTF-8, the key count
-    for offset, value in [(4, b"\x01\x00"), (7, b"\x00" * 4), (15, b"\x00\x00"),
-                          (17, b"\xff"), (at, b"\xff" * 8)]:
-        damaged.append(blob[:offset] + value + blob[offset + len(value):])
-    for bad in damaged:
-        with pytest.raises(IndexFormatError, match=r"byte \d+"):
+    blob = small_blob()  # words "abc\nabd\nxyz" from byte 35
+    table = layout(blob)
+    damaged = [(blob[:3], "bad magic"), (b"XXXX" + blob[4:], "bad magic"),
+               (blob[:20], "truncated header"), (blob + b"\x00", "trailing bytes"),
+               (blob[:-1], "truncated: the data has")]
+    for offset, value, error in [
+        (4, b"\x01\x00", "unsupported format version"),
+        (7, b"\x00" * 4, "invalid parameters"),           # split threshold 0
+        (11, b"\x0c", "truncated: the data has"),         # W one more
+        (36, b"\xff", "not valid UTF-8"),
+        (35, b"\n", "empty word"),
+        (41, b"c", "duplicate word"),                     # "abc" twice
+        (table.counts_at, b"\xff", "runs past"),          # an id count past N
+        (table.counts_at, b"\x00", "fall short"),         # the counts below N
+        (table.keys_at, b"\xff" * 8, "not above the previous key"),
+        (table.ids_at, b"\x09", "out of range"),
+        (table.first_id_at(shared_key(table)) + 4, b"\x00", "not strictly ascending"),
+    ]:
+        damaged.append((blob[:offset] + value + blob[offset + len(value):], error))
+    for bad, error in damaged:
+        with pytest.raises(IndexFormatError, match=r"byte \d+") as raised:
             FastSSIndex.from_bytes(bad)
+        assert error in str(raised.value)
 
 
 BLOBS = [
@@ -187,8 +198,8 @@ BLOBS = [
 @st.composite
 def mutated_blobs(draw) -> bytes:
     """A small valid blob with one byte flipped, cut short, or a u32 or u64
-    overwritten with a larger count, at any offset or at a count field: the
-    word count, the key count or an id count."""
+    overwritten with a larger count, at any offset or at a count field: one
+    of the three sizes in the header or an id count."""
     blob = bytearray(draw(st.sampled_from(BLOBS)))
     table = layout(blob)
     kind = draw(st.sampled_from(["flip", "truncate", "u32", "u64"]))
@@ -199,8 +210,8 @@ def mutated_blobs(draw) -> bytes:
         blob[pos] ^= draw(st.integers(1, 255))
         return bytes(blob)
     size, fmt = (4, "<I") if kind == "u32" else (8, "<Q")
-    counts = [11, table.key_count_at] + [table.counts_at + 4 * k
-                                         for k in range(len(table.keys))]
+    counts = list(SIZE_FIELDS.values()) + [table.counts_at + 4 * k
+                                           for k in range(len(table.keys))]
     anywhere = st.integers(0, len(blob) - size)
     pos = draw(st.one_of(st.sampled_from([p for p in counts if p <= len(blob) - size]),
                          anywhere))

@@ -39,6 +39,13 @@ def test_dictionary_validation():
     assert len(Dictionary([])) == 0
 
 
+@pytest.mark.parametrize("word", ["a\nb", "\n", "ab\n"])
+def test_dictionary_rejects_line_breaks(word):
+    # The index file joins the words with "\n", so no word may contain one.
+    with pytest.raises(ValueError, match="line break"):
+        Dictionary(["ab", word])
+
+
 @pytest.mark.parametrize("word", [b"ab", ("a", "b"), ["a", "b"], 5, None],
                          ids=["bytes", "tuple", "list", "int", "None"])
 def test_dictionary_rejects_non_str_words(word):
@@ -88,10 +95,12 @@ def test_params_validation():
 @pytest.mark.parametrize("args, field", [
     ((2.0,), "max_distance"), (("2",), "max_distance"),
     ((2, 3.0), "split_threshold"), ((2, "3"), "split_threshold"),
+    ((True,), "max_distance"), ((2, True), "split_threshold"),
 ])
 def test_params_reject_non_int(args, field):
     # Without the check, a float d fails later inside the build's range()
-    # and a float m builds and searches, then fails in to_bytes.
+    # and a float m builds and searches, then fails in to_bytes. A bool is
+    # an int to isinstance, but IndexParams(2, True) would split at 1.
     with pytest.raises(TypeError, match=field):
         IndexParams(*args)
 

@@ -1,3 +1,4 @@
+import mmap
 import random
 import struct
 
@@ -49,15 +50,26 @@ def test_round_trip_unicode_words():
 
 
 def test_header_layout_is_stable():
+    # "ab" at d=1 has the residuals "ab", "a" and "b": three keys, one id each.
     idx = FastSSIndex.build(Dictionary(["ab"]), IndexParams(1))
     blob = idx.to_bytes()
     assert blob[:4] == b"FSSI"
-    version, d, m = struct.unpack_from("<HBI", blob, 4)
-    assert (version, d, m) == (5, 1, 0xFFFFFFFF)
-    (word_count,) = struct.unpack_from("<I", blob, 11)
-    assert word_count == 1
-    (byte_len,) = struct.unpack_from("<H", blob, 15)
-    assert byte_len == 2 and blob[17:19] == b"ab"
+    fields = struct.unpack_from("<HBIQQQ", blob, 4)
+    assert fields == (6, 1, 0xFFFFFFFF, 2, 3, 3)
+    assert blob[35:37] == b"ab" and len(blob) == 35 + 2 + 12 * 3 + 4 * 3
+
+
+def test_from_bytes_accepts_any_bytes_like(tmp_path):
+    idx = FastSSIndex.build(Dictionary(["münchen", "köln", "øre"]), IndexParams(2, 4))
+    blob = idx.to_bytes()
+    assert FastSSIndex.from_bytes(blob) == idx
+    assert FastSSIndex.from_bytes(bytearray(blob)) == idx
+    assert FastSSIndex.from_bytes(memoryview(blob)) == idx
+    path = tmp_path / "words.fssi"
+    path.write_bytes(blob)
+    with path.open("rb") as file:
+        with mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            assert FastSSIndex.from_bytes(mapped) == idx
 
 
 def test_corrupted_magic_rejected():
@@ -67,12 +79,19 @@ def test_corrupted_magic_rejected():
         FastSSIndex.from_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
+# Version 5 of an empty dictionary: 23 bytes, shorter than a version 6 header.
+V5_EMPTY = b"FSSI" + struct.pack("<HBIIQ", 5, 1, 0xFFFFFFFF, 0, 0)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
 def test_unsupported_version_rejected(version):
     blob = bytearray(FastSSIndex.build(Dictionary(["ab"]), IndexParams(1)).to_bytes())
-    struct.pack_into("<H", blob, 4, version)
-    with pytest.raises(IndexFormatError, match=f"unsupported format version {version} at byte 4$"):
-        FastSSIndex.from_bytes(bytes(blob))
+    short = bytearray(V5_EMPTY)
+    for old in (blob, short):
+        struct.pack_into("<H", old, 4, version)
+        with pytest.raises(IndexFormatError,
+                           match=f"unsupported format version {version} at byte 4$"):
+            FastSSIndex.from_bytes(bytes(old))
 
 
 def test_truncation_rejected_everywhere():
