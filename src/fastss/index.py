@@ -2,11 +2,11 @@
 queries.
 
 Every dictionary word contributes the hashed residuals of its deletion
-neighborhood; a query probes the same keys and verifies the surviving
-candidates with one bit-vector edit-distance verifier per query. Words
-longer than the splitting threshold m are instead stored as two halves of
-floor(d/2) edits each, which shrinks the index dramatically, while queries
-compensate by probing several split positions. ``IndexParams.word_parts``
+neighborhood; a query probes the same keys and verifies all surviving
+candidates in one bit-parallel pass, one lane per word. Words longer than
+the splitting threshold m are instead stored as two halves of floor(d/2)
+edits each, which shrinks the index dramatically, while queries compensate
+by probing several split positions. ``IndexParams.word_parts``
 and ``IndexParams.query_parts`` are that plan.
 
 The posting table is three flat, read-only numpy arrays: the sorted
@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .distance import edit_distance_verifier
+from .distance import edit_distances
 from .neighborhood import HalfTag, Part, residual_key_pairs, residual_keys
 
 __all__ = [
@@ -278,13 +280,14 @@ class FastSSIndex:
     def _verify(self, query: str, ids: list[int]) -> list[Match]:
         """The words among the ascending candidate ``ids`` within
         ``max_distance`` of the query, sorted by (distance, word id)."""
-        verify = edit_distance_verifier(query, self._params.max_distance)
-        distances = map(verify, map(self._dictionary.words.__getitem__, ids))
-        matches = [Match(word_id, distance)
-                   for word_id, distance in zip(ids, distances) if distance is not None]
+        d = self._params.max_distance
+        distances = edit_distances(query, list(map(self._dictionary.words.__getitem__, ids)))
+        matches = [(word_id, distance)
+                   for word_id, distance in zip(ids, distances.tolist()) if distance <= d]
         # The ids ascend, and a stable sort keeps them so within a distance.
-        matches.sort(key=lambda match: match.distance)
-        return matches
+        matches.sort(key=itemgetter(1))
+        # tuple.__new__ is Match._make without its Python frame per match.
+        return list(map(tuple.__new__, repeat(Match), matches))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FastSSIndex)

@@ -1,9 +1,12 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fastss
 from fastss.analysis import CollisionModel, expected_candidates, markov_bound
 from fastss.cli import main
 from fastss.index import FastSSIndex
@@ -114,10 +117,13 @@ def test_expect_matches_library(capsys):
 
 
 def test_module_entry_point(tmp_path, dict_file):
+    # The subprocess imports the package these tests import, installed or not.
+    source = str(Path(fastss.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "fastss.cli", "expect", "--n", "100",
          "--len", "6", "--d", "1", "--sigma", "26"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert result.stdout.startswith("expected_candidates ")
 

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from fastss.distance import edit_distance_verifier, full_edit_distance
+from fastss.distance import edit_distance_verifier, edit_distances, full_edit_distance
 from helpers import perturb_word
 
 
@@ -128,3 +128,60 @@ def test_banded_is_symmetric():
         for bound in (0, 1, 3):
             assert (edit_distance_verifier(a, bound)(b)
                     == edit_distance_verifier(b, bound)(a))
+
+
+def assert_batch_agrees(query, words):
+    """edit_distances equals the full table on every word, and so does the
+    verifier at every bound from 0 to 5."""
+    true = [full_edit_distance(query, w) for w in words]
+    got = edit_distances(query, words)
+    assert got.dtype == "int64" and got.tolist() == true, (query, words)
+    for bound in range(6):
+        verify = edit_distance_verifier(query, bound)
+        assert [verify(w) for w in words] == [t if t <= bound else None for t in true]
+
+
+def test_batch_mixes_word_lengths_up_to_140():
+    # One batch's lanes are as wide as its longest word needs, from 8 bits
+    # for short words up to 144 for 140 characters; short words then share
+    # a batch with far longer ones.
+    rng = random.Random(11)
+    for _ in range(40):
+        longest = rng.randint(0, 140)
+        query = random_word(rng, rng.randint(0, 40), "abcd")
+        words = [random_word(rng, longest, "abcd") for _ in range(rng.randint(1, 30))]
+        words += [perturb_word(rng, query, rng.randint(0, 5), alphabet="abcdxyz")]
+        assert_batch_agrees(query, words)
+
+
+def test_batch_non_bmp_code_points():
+    rng = random.Random(12)
+    alphabet = "a\U0001F600\U00010348é\U0010FFFF"
+    for _ in range(60):
+        query = random_word(rng, 10, alphabet)
+        assert_batch_agrees(query, [random_word(rng, 12, alphabet) for _ in range(10)])
+
+
+def test_batch_empty_query_and_empty_words():
+    assert edit_distances("", []).tolist() == []
+    assert edit_distances("ab", []).tolist() == []
+    assert_batch_agrees("", ["", "a", "abc", "x" * 70])
+    assert_batch_agrees("abc", ["", "abc", ""])
+
+
+@pytest.mark.parametrize("query", ["abc\n", "\nabc", "a\nc", "\n", "\n\n", "ab\n\n"])
+def test_batch_query_with_line_break(query):
+    # No dictionary word contains "\n"; a query may, and it matches nothing
+    # above a word in its lane. "abc" is one edit from "abc\n".
+    rng = random.Random(13)
+    words = ["abc", "ab", "a", "abcd", "x"] + [random_word(rng, 9, "abc") for _ in range(20)]
+    assert_batch_agrees(query, words)
+    assert edit_distances("abc\n", ["abc"]).tolist() == [1]
+
+
+def test_batch_words_with_line_breaks_and_nul():
+    # The kernel itself takes any strings: its padding is no code point.
+    rng = random.Random(14)
+    for _ in range(60):
+        query = random_word(rng, 8, "ab\n\x00")
+        assert_batch_agrees(query, [random_word(rng, 12, "ab\n\x00") for _ in range(8)])

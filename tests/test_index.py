@@ -7,7 +7,7 @@ import fastss.index
 import fastss.neighborhood
 from fastss.baselines import NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary
-from fastss.distance import edit_distance_verifier, full_edit_distance
+from fastss.distance import edit_distance_verifier, edit_distances, full_edit_distance
 from fastss.index import (
     Dictionary,
     FastSSIndex,
@@ -315,6 +315,45 @@ def test_losslessness_with_empty_and_short_queries():
             idx = FastSSIndex.build(dictionary, IndexParams(d, m))
             for q in ["", "a", "ab", "abc", "zzzzzzzzzzzz"]:
                 assert idx.search(q) == naive(dictionary, q, d), (q, d, m)
+
+
+@pytest.mark.parametrize("d, m", [(2, None), (3, 7)], ids=["d2", "d3-m7"])
+def test_search_query_with_line_break_equals_scan(d, m):
+    # No word contains "\n", the character that joins them in the file; a
+    # query may, and a word one deletion away must still match.
+    rng = random.Random(21)
+    words = random_unique_words(rng, 150, 1, 14)
+    dictionary = Dictionary(words)
+    scanner = NaiveScanner(dictionary)
+    idx = FastSSIndex.build(dictionary, IndexParams(d, m))
+    queries = ["\n", "\n\n", words[0] + "\n", "\n" + words[1], words[2][:3] + "\n" + words[2][3:]]
+    queries += [perturb_word(rng, rng.choice(words), rng.randint(0, d), alphabet="ab\n")
+                for _ in range(80)]
+    assert any("\n" in q and idx.search(q) for q in queries)
+    for q in queries:
+        assert idx.search(q) == scanner.scan(q, d), (q, d, m)
+
+
+def test_search_calls_the_kernel_once_per_query(monkeypatch):
+    # All of a query's candidates are verified in one batch, whatever their
+    # number; no query falls back to a word-by-word path.
+    rng = random.Random(22)
+    words = random_unique_words(rng, 200, 1, 12)
+    idx = FastSSIndex.build(Dictionary(words), IndexParams(2, 6))
+    calls = []
+
+    def counting(query, batch):
+        calls.append(len(batch))
+        return edit_distances(query, batch)
+
+    monkeypatch.setattr(fastss.index, "edit_distances", counting)
+    for q in [words[0], words[1][:2], perturb_word(rng, words[2], 2), "zzzzzz"] + words[3:40]:
+        calls.clear()
+        idx.search(q)
+        candidates = idx.candidates(q)
+        if candidates:
+            assert calls == [len(candidates)], q
+    assert any(len(idx.candidates(q)) > 10 for q in words[:40])
 
 
 def test_split_cover_property():
