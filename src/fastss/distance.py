@@ -1,8 +1,12 @@
 """Levenshtein edit distance: a plain full-table version used as the ground
 truth everywhere, and a bit-parallel kernel that computes the distances
 from one query to a whole batch of words in one pass, one lane per word.
-``edit_distance_verifier`` is that kernel on one word, against a fixed
-distance threshold.
+The batch is one text, each word followed by a line break, and each of its
+characters is one bit of a Python int: a lane is its word's rows plus the
+spare bit at the line break. ``lane_distances`` takes that text, with the
+lanes ending at its line breaks or at given positions; ``edit_distances``
+lays out any list of words that way, and ``edit_distance_verifier`` is the
+kernel on one word, against a fixed distance threshold.
 
 Strings are compared as sequences of Unicode code points; insertions,
 deletions and substitutions all cost 1.
@@ -15,9 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = ["full_edit_distance", "edit_distance_verifier", "edit_distances"]
-
-# The number of set bits in each byte value.
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], np.int64)
 
 
 def full_edit_distance(a: str, b: str) -> int:
@@ -59,36 +60,48 @@ def edit_distance_verifier(query: str, bound: int) -> Callable[[str], int | None
 
 def edit_distances(query: str, words: Sequence[str]) -> np.ndarray:
     """The edit distance from ``query`` to each of ``words``, as an int64
-    array in the order of ``words``.
+    array in the order of ``words``. The words may be any strings, line
+    breaks included: their lanes end where their lengths say."""
+    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    return lane_distances(query, "\n".join(words) + "\n", np.cumsum(lengths + 1) - 1)
+
+
+def lane_distances(query: str, text: str, ends: np.ndarray | None = None) -> np.ndarray:
+    """The edit distance from ``query`` to each word of ``text``, the words
+    each followed by one ``"\n"``, as an int64 array in text order.
+    ``ends`` are the positions of those line breaks; by default every
+    ``"\n"`` in ``text`` ends a word.
 
     Bit-vector dynamic programming (Myers 1999, in the global-distance form
     of Hyyrö 2001), run once per query character over all words at once.
-    Each word is one lane of one Python int: bit i of a lane is row i of
-    that word's table, and ``pv``/``mv`` hold the column's vertical +1/-1
-    deltas. After the last column a lane's distance is
-    ``len(query) + popcount(pv) - popcount(mv)``.
-
-    Lanes are whole bytes and longer than every word. The match masks are
-    cut to the words' ``rows`` and ``pv`` is kept within them, so ``mv``
-    stays within them too: nothing is counted above a word, and no carry
-    leaves a lane.
+    Bit i of one Python int is character i of ``text``, so each word is one
+    lane: its rows, then one spare bit at its line break. ``pv``/``mv``
+    hold the column's vertical +1/-1 deltas, kept within the ``rows``. A
+    carry out of a word's top row stops in its spare bit, and the shifted
+    horizontal deltas take their top row's +1 from ``low``, so no lane
+    reads its neighbour. After the last column a lane's distance is
+    ``len(query)`` plus its ``pv`` bits minus its ``mv`` bits: the steps of
+    one running sum of ``pv - mv`` from one lane end to the next.
     """
-    n = len(query)
-    lengths = np.fromiter(map(len, words), np.int64, len(words))
-    if not len(words):
-        return lengths
-    lanes, lane_bytes = len(words), int(lengths.max()) // 8 + 1
-    width, size = 8 * lane_bytes, lanes * lane_bytes
-    rows = int.from_bytes(np.packbits(np.arange(width) < lengths[:, None],
-                                      bitorder="little"), "little")
-    codes = np.array(words, f"<U{width}").view(np.uint32)  # code points, 0-padded
-    chars = list(dict.fromkeys(query))
-    points = np.fromiter(map(ord, chars), np.uint32, len(chars))
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+    if ends is None:
+        spare = codes == 10
+        ends = spare.nonzero()[0]
+    else:
+        spare = np.zeros(len(codes), bool)
+        spare[ends] = True
+    if not len(ends):
+        return np.zeros(0, np.int64)
+    bits, size = len(codes), (len(codes) + 7) // 8
+    spare_bits = int.from_bytes(np.packbits(spare, bitorder="little").tobytes(), "little")
+    rows = ((1 << bits) - 1) ^ spare_bits
+    chars = "".join(dict.fromkeys(query))
+    points = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), "<u4")
     matches = np.packbits(codes == points[:, None], axis=1, bitorder="little").tobytes()
     peq = {c: int.from_bytes(matches[i * size:(i + 1) * size], "little") & rows
            for i, c in enumerate(chars)}
 
-    low = int.from_bytes(b"\x01".ljust(lane_bytes, b"\x00") * lanes, "little")
+    low = ((spare_bits << 1) | 1) & rows  # the first row of every lane
     pv, mv = rows, 0  # first column: D[i][0] = i
     for c in query:
         eq = peq[c]
@@ -101,8 +114,10 @@ def edit_distances(query: str, words: Sequence[str]) -> np.ndarray:
         pv = ((mh << 1) | ~(xv | ph)) & rows
         mv = ph & xv
 
-    # Each lane's +1 and -1 counts, from one int: mv's bits above pv's.
-    both = pv | mv << (8 * size)
-    counts = _POPCOUNT[np.frombuffer(both.to_bytes(2 * size, "little"), np.uint8)]
-    plus, minus = counts.reshape(2, lanes, lane_bytes).sum(axis=2)
-    return n + plus - minus
+    # pv's bits, then mv's, one 0/1 byte each
+    both = np.unpackbits(np.frombuffer((pv | mv << 8 * size).to_bytes(2 * size, "little"),
+                                       np.uint8), bitorder="little").view(np.int8)
+    totals = (both[:bits] - both[8 * size:8 * size + bits]).cumsum(dtype=np.int64)[ends]
+    totals[1:] -= totals[:-1].copy()
+    totals += len(query)
+    return totals

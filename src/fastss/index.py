@@ -3,21 +3,24 @@ queries.
 
 Every dictionary word contributes the hashed residuals of its deletion
 neighborhood; a query probes the same keys and verifies all surviving
-candidates in one bit-parallel pass, one lane per word. Words longer than
-the splitting threshold m are instead stored as two halves of floor(d/2)
-edits each, which shrinks the index dramatically, while queries compensate
-by probing several split positions. ``IndexParams.word_parts``
-and ``IndexParams.query_parts`` are that plan.
+candidates in one bit-parallel pass over one text of their words, each
+followed by a line break, one lane per word. Words longer than the
+splitting threshold m are instead stored as two halves of floor(d/2) edits
+each, which shrinks the index dramatically, while queries compensate by
+probing several split positions. ``IndexParams.word_parts`` and
+``IndexParams.query_parts`` are that plan.
 
 The posting table is three flat, read-only numpy arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
 ascending order. A build hashes every word's distinct keys in numpy
 blocks, one word length at a time, and makes one sort of the (key, word
 id) pairs by key, then id; a query enumerates its keys with the scalar
-``residual_keys`` and looks them all up with one binary search. The file
-is a fixed header that gives the size of every section, the words as one
-UTF-8 block, and the same three arrays back to back, so it is written and
-read with one operation per section.
+``residual_keys`` and looks them all up with one binary search. Its
+candidate ids stay one array up to the match list, so no Python code runs
+once per candidate: only a match becomes a Python tuple. The file is a
+fixed header that gives the size of every section, the words as one UTF-8
+block, and the same three arrays back to back, so it is written and read
+with one operation per section.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .distance import edit_distances
+from .distance import lane_distances
 from .neighborhood import HalfTag, Part, residual_key_pairs, residual_keys
 
 __all__ = [
@@ -250,12 +253,16 @@ class FastSSIndex:
         query; hash collisions may add extras, which verification removes.
         Raises TypeError for a query that is not a ``str``.
         """
+        return self._candidate_ids(query).tolist()
+
+    def _candidate_ids(self, query: str) -> np.ndarray:
+        """``candidates`` as an ascending uint32 array."""
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
         # No word matches a query more than d characters longer than the
         # longest word, so such a query costs nothing to enumerate.
         if len(query) > self._longest + self._params.max_distance or not len(self._keys):
-            return []
+            return self._ids[:0]
 
         keys: set[int] = set()
         for start, stop, k, tag in self._params.query_parts(len(query)):
@@ -269,25 +276,30 @@ class FastSSIndex:
         # where shift is its run's start minus the ids of the runs before.
         shifts = np.repeat(starts - (lengths.cumsum() - lengths), lengths)
         ids = np.sort(self._ids[np.arange(len(shifts)) + shifts])
-        return ids[_run_starts(ids)].tolist()
+        return ids[_run_starts(ids)]
 
     def search(self, query: str) -> list[Match]:
         """All dictionary words within ``max_distance`` of the query,
         sorted by (distance, word id). Exactly the naive-scan result set.
         Raises TypeError for a query that is not a ``str``."""
-        return self._verify(query, self.candidates(query))
+        return self._verify(query, self._candidate_ids(query))
 
-    def _verify(self, query: str, ids: list[int]) -> list[Match]:
-        """The words among the ascending candidate ``ids`` within
-        ``max_distance`` of the query, sorted by (distance, word id)."""
-        d = self._params.max_distance
-        distances = edit_distances(query, list(map(self._dictionary.words.__getitem__, ids)))
-        matches = [(word_id, distance)
-                   for word_id, distance in zip(ids, distances.tolist()) if distance <= d]
-        # The ids ascend, and a stable sort keeps them so within a distance.
-        matches.sort(key=itemgetter(1))
+    def _verify(self, query: str, ids: np.ndarray) -> list[Match]:
+        """The words among the ascending candidate ``ids`` (an array)
+        within ``max_distance`` of the query, sorted by (distance, word id).
+
+        The candidates are verified as one text, each word followed by a
+        line break, which no dictionary word contains."""
+        if not len(ids):
+            return []
+        words = itemgetter(*ids.tolist())(self._dictionary.words)  # a tuple, or one word
+        distances = lane_distances(query, ("\n".join(words) if len(ids) > 1 else words) + "\n")
+        # A stable sort keeps the ascending ids within a distance.
+        matched = np.count_nonzero(distances <= self._params.max_distance)
+        order = distances.argsort(kind="stable")[:matched]
         # tuple.__new__ is Match._make without its Python frame per match.
-        return list(map(tuple.__new__, repeat(Match), matches))
+        return list(map(tuple.__new__, repeat(Match),
+                        zip(ids[order].tolist(), distances[order].tolist())))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FastSSIndex)

@@ -7,7 +7,7 @@ import fastss.index
 import fastss.neighborhood
 from fastss.baselines import NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary
-from fastss.distance import edit_distance_verifier, edit_distances, full_edit_distance
+from fastss.distance import edit_distance_verifier, full_edit_distance, lane_distances
 from fastss.index import (
     Dictionary,
     FastSSIndex,
@@ -334,6 +334,29 @@ def test_search_query_with_line_break_equals_scan(d, m):
         assert idx.search(q) == scanner.scan(q, d), (q, d, m)
 
 
+@pytest.mark.parametrize("d, m", [(2, None), (3, 7)], ids=["d2", "d3-m7"])
+def test_search_non_ascii_words_equals_scan(d, m):
+    # Candidates are verified as one joined text: characters of 1 to 4
+    # UTF-8 bytes and "\x00" inside words must keep every word in its lane,
+    # at every word length from 1 to 60, and a query's "\n" matches none.
+    rng = random.Random(23)
+    alphabet = "aé中😀\x00"
+    words = list(dict.fromkeys(random_word(rng, length, length, alphabet)
+                               for length in range(1, 61) for _ in range(3)))
+    words = list(dict.fromkeys(
+        words + [perturb_word(rng, w, rng.randint(1, d), alphabet) for w in words[::2]]))
+    dictionary = Dictionary(words)
+    scanner = NaiveScanner(dictionary)
+    idx = FastSSIndex.build(dictionary, IndexParams(d, m))
+    queries = ["\n", words[0] + "\n", "\x00", words[-1]]
+    queries += [perturb_word(rng, rng.choice(words), rng.randint(0, d), alphabet + "\n")
+                for _ in range(120)]
+    assert any("\n" in q and idx.search(q) for q in queries)
+    assert sum(len(idx.candidates(q)) > 1 for q in queries) > 40
+    for q in queries:
+        assert idx.search(q) == scanner.scan(q, d), (q, d, m)
+
+
 def test_search_calls_the_kernel_once_per_query(monkeypatch):
     # All of a query's candidates are verified in one batch, whatever their
     # number; no query falls back to a word-by-word path.
@@ -342,11 +365,12 @@ def test_search_calls_the_kernel_once_per_query(monkeypatch):
     idx = FastSSIndex.build(Dictionary(words), IndexParams(2, 6))
     calls = []
 
-    def counting(query, batch):
-        calls.append(len(batch))
-        return edit_distances(query, batch)
+    def counting(query, text, *ends):
+        distances = lane_distances(query, text, *ends)
+        calls.append(len(distances))
+        return distances
 
-    monkeypatch.setattr(fastss.index, "edit_distances", counting)
+    monkeypatch.setattr(fastss.index, "lane_distances", counting)
     for q in [words[0], words[1][:2], perturb_word(rng, words[2], 2), "zzzzzz"] + words[3:40]:
         calls.clear()
         idx.search(q)
