@@ -13,7 +13,7 @@ drives all of it from the shell. Workload and report helpers live in
 from .analysis import CollisionModel, expected_candidates, markov_bound
 from .baselines import BKTree, NaiveScanner
 from .bench import bundled_words_path, load_dictionary
-from .distance import edit_distance_verifier, full_edit_distance
+from .distance import full_edit_distance
 from .index import (
     Dictionary,
     FastSSIndex,
@@ -37,7 +37,6 @@ __all__ = [
     "Match",
     "NaiveScanner",
     "bundled_words_path",
-    "edit_distance_verifier",
     "expected_candidates",
     "full_edit_distance",
     "full_neighborhood",

@@ -192,7 +192,7 @@ def compare_baselines(dictionary: Dictionary, max_distance: int, workload: Workl
 
 def _index_answer(index: FastSSIndex, query: str) -> tuple[list[Match], int]:
     # What search does, with the candidates kept for the count.
-    ids = index._candidate_ids(query)
+    ids = index.candidates(query)
     return index._verify(query, ids), len(ids)
 
 

@@ -91,8 +91,7 @@ def _add_split_options(parser: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _params(args) -> IndexParams:
-    split = None if getattr(args, "no_split", False) or args.m is None else args.m
-    return IndexParams(args.d, split)
+    return IndexParams(args.d, args.m)
 
 
 def _cmd_build(args) -> int:

@@ -3,10 +3,8 @@ truth everywhere, and a bit-parallel kernel that computes the distances
 from one query to a whole batch of words in one pass, one lane per word.
 The batch is one text, each word followed by a line break, and each of its
 characters is one bit of a Python int: a lane is its word's rows plus the
-spare bit at the line break. ``lane_distances`` takes that text, with the
-lanes ending at its line breaks or at given positions; ``edit_distances``
-lays out any list of words that way, and ``edit_distance_verifier`` is the
-kernel on one word, against a fixed distance threshold.
+spare bit at the line break. ``lane_distances`` takes that text, so its
+words contain no line break.
 
 Strings are compared as sequences of Unicode code points; insertions,
 deletions and substitutions all cost 1.
@@ -14,11 +12,9 @@ deletions and substitutions all cost 1.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-__all__ = ["full_edit_distance", "edit_distance_verifier", "edit_distances"]
+__all__ = ["full_edit_distance", "lane_distances"]
 
 
 def full_edit_distance(a: str, b: str) -> int:
@@ -45,32 +41,9 @@ def full_edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-def edit_distance_verifier(query: str, bound: int) -> Callable[[str], int | None]:
-    """A function mapping a word to its edit distance from ``query`` when
-    that is <= ``bound``, and to None otherwise."""
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-
-    def verify(word: str) -> int | None:
-        distance = int(edit_distances(query, [word])[0])
-        return distance if distance <= bound else None
-
-    return verify
-
-
-def edit_distances(query: str, words: Sequence[str]) -> np.ndarray:
-    """The edit distance from ``query`` to each of ``words``, as an int64
-    array in the order of ``words``. The words may be any strings, line
-    breaks included: their lanes end where their lengths say."""
-    lengths = np.fromiter(map(len, words), np.int64, len(words))
-    return lane_distances(query, "\n".join(words) + "\n", np.cumsum(lengths + 1) - 1)
-
-
-def lane_distances(query: str, text: str, ends: np.ndarray | None = None) -> np.ndarray:
+def lane_distances(query: str, text: str) -> np.ndarray:
     """The edit distance from ``query`` to each word of ``text``, the words
     each followed by one ``"\n"``, as an int64 array in text order.
-    ``ends`` are the positions of those line breaks; by default every
-    ``"\n"`` in ``text`` ends a word.
 
     Bit-vector dynamic programming (Myers 1999, in the global-distance form
     of Hyyrö 2001), run once per query character over all words at once.
@@ -84,12 +57,8 @@ def lane_distances(query: str, text: str, ends: np.ndarray | None = None) -> np.
     one running sum of ``pv - mv`` from one lane end to the next.
     """
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
-    if ends is None:
-        spare = codes == 10
-        ends = spare.nonzero()[0]
-    else:
-        spare = np.zeros(len(codes), bool)
-        spare[ends] = True
+    spare = codes == 10
+    ends = spare.nonzero()[0]
     if not len(ends):
         return np.zeros(0, np.int64)
     bits, size = len(codes), (len(codes) + 7) // 8

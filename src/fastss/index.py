@@ -15,9 +15,10 @@ distinct keys, offsets into the id array, and the word ids of each key in
 ascending order. A build hashes every word's distinct keys in numpy
 blocks, one word length at a time, and makes one sort of the (key, word
 id) pairs by key, then id; a query enumerates its keys with the scalar
-``residual_keys`` and looks them all up with one binary search. Its
-candidate ids stay one array up to the match list, so no Python code runs
-once per candidate: only a match becomes a Python tuple. The file is a
+``residual_keys`` and looks them all up with one binary search.
+``candidates`` returns the ids as one ascending array, and ``search``
+keeps them in it up to the match list, so no Python code runs once per
+candidate: only a match becomes a Python tuple. The file is a
 fixed header that gives the size of every section, the words as one UTF-8
 block, and the same three arrays back to back, so it is written and read
 with one operation per section.
@@ -245,23 +246,22 @@ class FastSSIndex:
     def stats(self) -> IndexStats:
         return IndexStats(len(self._ids), len(self._keys))
 
-    def candidates(self, query: str) -> list[int]:
+    def candidates(self, query: str) -> np.ndarray:
         """Ids of the words sharing at least one residual key with the
-        query, each once, in ascending order.
+        query, each once, as an ascending uint32 array.
 
         Guaranteed to contain every word within ``max_distance`` of the
         query; hash collisions may add extras, which verification removes.
-        Raises TypeError for a query that is not a ``str``.
+        Raises TypeError for a query that is not a ``str``, and
+        UnicodeEncodeError for one with a lone surrogate.
         """
-        return self._candidate_ids(query).tolist()
-
-    def _candidate_ids(self, query: str) -> np.ndarray:
-        """``candidates`` as an ascending uint32 array."""
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
         # No word matches a query more than d characters longer than the
-        # longest word, so such a query costs nothing to enumerate.
+        # longest word, so such a query costs nothing to enumerate; it is
+        # only encoded, to raise for a lone surrogate as enumeration would.
         if len(query) > self._longest + self._params.max_distance or not len(self._keys):
+            query.encode("utf-32-le")
             return self._ids[:0]
 
         keys: set[int] = set()
@@ -282,7 +282,7 @@ class FastSSIndex:
         """All dictionary words within ``max_distance`` of the query,
         sorted by (distance, word id). Exactly the naive-scan result set.
         Raises TypeError for a query that is not a ``str``."""
-        return self._verify(query, self._candidate_ids(query))
+        return self._verify(query, self.candidates(query))
 
     def _verify(self, query: str, ids: np.ndarray) -> list[Match]:
         """The words among the ascending candidate ``ids`` (an array)

@@ -17,7 +17,7 @@ import pytest
 from fastss.analysis import CollisionModel, expected_candidates
 from fastss.baselines import BKTree, NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary, perturb
-from fastss.distance import edit_distance_verifier, full_edit_distance
+from fastss.distance import full_edit_distance, lane_distances
 from fastss.index import Dictionary, FastSSIndex, IndexParams, split_word
 from helpers import perturb_word, random_unique_words, random_word
 
@@ -77,7 +77,7 @@ def test_criterion_1_losslessness(random_dictionary, bundled_dictionary,
     return f"{checks} query comparisons, 0 mismatches"
 
 
-@criterion(2, "bit-vector verifier agrees with the full table for all bounds")
+@criterion(2, "bit-vector kernel agrees with the full table on every pair")
 def test_criterion_2_band_full_equivalence():
     rng = random.Random(SEED + 10)
     pairs = 0
@@ -87,15 +87,9 @@ def test_criterion_2_band_full_equivalence():
             b = random_word(rng, 0, 15)
         else:
             b = perturb_word(rng, a, rng.randint(0, 6))[:15]
-        true = full_edit_distance(a, b)
-        for bound in range(5):
-            got = edit_distance_verifier(a, bound)(b)
-            if true <= bound:
-                assert got == true, (a, b, bound)
-            else:
-                assert got is None, (a, b, bound)
+        assert lane_distances(a, b + "\n").tolist() == [full_edit_distance(a, b)], (a, b)
         pairs += 1
-    return f"{pairs} pairs x bounds 0..4"
+    return f"{pairs} pairs"
 
 
 @criterion(3, "stored pair counts match the binomial sums exactly")

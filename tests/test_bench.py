@@ -211,14 +211,14 @@ def test_run_benchmark_computes_candidates_once_per_query(small_dictionary, monk
     from fastss import index as index_module
 
     workload = perturb(small_dictionary, 50, 2, seed=10)
-    original = index_module.FastSSIndex._candidate_ids
+    original = index_module.FastSSIndex.candidates
     calls = []
 
     def counted(self, query):
         calls.append(query)
         return original(self, query)
 
-    monkeypatch.setattr(index_module.FastSSIndex, "_candidate_ids", counted)
+    monkeypatch.setattr(index_module.FastSSIndex, "candidates", counted)
     report = run_benchmark(small_dictionary, IndexParams(2), workload)
     assert calls == [case.query for case in workload.cases]
     index = FastSSIndex.build(small_dictionary, IndexParams(2))

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from fastss.distance import edit_distance_verifier, edit_distances, full_edit_distance
+from fastss.distance import full_edit_distance, lane_distances
 from helpers import perturb_word
 
 
@@ -71,24 +71,19 @@ def test_metric_properties():
         checked += 1
 
 
-# The test_banded_* names date from the banded DP this verifier replaced;
-# the contract they check is unchanged.
-
-def test_banded_trivial_cases():
-    assert edit_distance_verifier("abc", 0)("abc") == 0
-    assert edit_distance_verifier("abcd", 1)("abxd") == 1  # full DP gives 1
-    assert edit_distance_verifier("aaaa", 2)("bbbb") is None  # full DP gives 4
-    assert edit_distance_verifier("", 0)("") == 0
-    assert edit_distance_verifier("", 1)("ab") is None
-    assert edit_distance_verifier("", 2)("ab") == 2
-    assert edit_distance_verifier("ab", 2)("") == 2
+def lanes(query, words):
+    """The kernel's distances from ``query`` to each of ``words``, laid out
+    as one text, each word followed by a line break."""
+    return lane_distances(query, "".join(w + "\n" for w in words))
 
 
-def test_banded_rejects_negative_bound():
-    with pytest.raises(ValueError):
-        edit_distance_verifier("a", -1)
-    with pytest.raises(ValueError):
-        edit_distance_verifier("", -1)
+def test_lane_trivial_cases():
+    assert lanes("abc", ["abc"]).tolist() == [0]
+    assert lanes("abcd", ["abxd"]).tolist() == [1]
+    assert lanes("aaaa", ["bbbb"]).tolist() == [4]
+    assert lanes("", [""]).tolist() == [0]
+    assert lanes("", ["ab"]).tolist() == [2]
+    assert lanes("ab", [""]).tolist() == [2]
 
 
 def risky_pairs(rng):
@@ -100,45 +95,34 @@ def risky_pairs(rng):
              ("", ""), ("", "ab"), ("ab", ""), ("abc", "xyz"), ("xyz", "abxyz")]
     for _ in range(40):
         a = "".join(rng.choice("abcd") for _ in range(rng.randint(60, 130)))
-        # A few edits keep b within reach of small bounds; some of them
-        # bring in characters the other side never contains.
+        # A few edits keep b close to a; some of them bring in characters
+        # the other side never contains.
         b = perturb_word(rng, a, rng.randint(0, 5), alphabet="abcdxyzé")
         pairs += [(a, b), (b, a)]
     return pairs
 
 
-@pytest.mark.parametrize("bound", range(0, 5))
-def test_banded_agrees_with_full(bound):
-    rng = random.Random(100 + bound)
+@pytest.mark.parametrize("batch", range(0, 5))
+def test_lane_agrees_with_full(batch):
+    rng = random.Random(100 + batch)
     pairs = [(random_word(rng), random_word(rng)) for _ in range(2_000)]
     pairs += risky_pairs(rng)
     for a, b in pairs:
-        true = full_edit_distance(a, b)
-        got = edit_distance_verifier(a, bound)(b)
-        if true <= bound:
-            assert got == true, (a, b, bound)
-        else:
-            assert got is None, (a, b, bound)
+        assert lanes(a, [b]).tolist() == [full_edit_distance(a, b)], (a, b)
 
 
-def test_banded_is_symmetric():
+def test_lane_is_symmetric():
     rng = random.Random(7)
     for _ in range(500):
         a, b = random_word(rng), random_word(rng)
-        for bound in (0, 1, 3):
-            assert (edit_distance_verifier(a, bound)(b)
-                    == edit_distance_verifier(b, bound)(a))
+        assert lanes(a, [b]).tolist() == lanes(b, [a]).tolist() == [full_edit_distance(a, b)]
 
 
 def assert_batch_agrees(query, words):
-    """edit_distances equals the full table on every word, and so does the
-    verifier at every bound from 0 to 5."""
+    """The kernel equals the full table on every word of one batch."""
     true = [full_edit_distance(query, w) for w in words]
-    got = edit_distances(query, words)
+    got = lanes(query, words)
     assert got.dtype == "int64" and got.tolist() == true, (query, words)
-    for bound in range(6):
-        verify = edit_distance_verifier(query, bound)
-        assert [verify(w) for w in words] == [t if t <= bound else None for t in true]
 
 
 def test_batch_mixes_word_lengths_up_to_140():
@@ -163,8 +147,8 @@ def test_batch_non_bmp_code_points():
 
 
 def test_batch_empty_query_and_empty_words():
-    assert edit_distances("", []).tolist() == []
-    assert edit_distances("ab", []).tolist() == []
+    assert lanes("", []).tolist() == []
+    assert lanes("ab", []).tolist() == []
     assert_batch_agrees("", ["", "a", "abc", "x" * 70])
     assert_batch_agrees("abc", ["", "abc", ""])
 
@@ -176,12 +160,13 @@ def test_batch_query_with_line_break(query):
     rng = random.Random(13)
     words = ["abc", "ab", "a", "abcd", "x"] + [random_word(rng, 9, "abc") for _ in range(20)]
     assert_batch_agrees(query, words)
-    assert edit_distances("abc\n", ["abc"]).tolist() == [1]
+    assert lanes("abc\n", ["abc"]).tolist() == [1]
 
 
 def test_batch_words_with_line_breaks_and_nul():
-    # The kernel itself takes any strings: its padding is no code point.
+    # A line break ends a lane, so only the queries hold one; "\x00" is an
+    # ordinary code point on both sides.
     rng = random.Random(14)
     for _ in range(60):
         query = random_word(rng, 8, "ab\n\x00")
-        assert_batch_agrees(query, [random_word(rng, 12, "ab\n\x00") for _ in range(8)])
+        assert_batch_agrees(query, [random_word(rng, 12, "ab\x00") for _ in range(8)])

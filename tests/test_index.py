@@ -7,7 +7,7 @@ import fastss.index
 import fastss.neighborhood
 from fastss.baselines import NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary
-from fastss.distance import edit_distance_verifier, full_edit_distance, lane_distances
+from fastss.distance import full_edit_distance, lane_distances
 from fastss.index import (
     Dictionary,
     FastSSIndex,
@@ -209,10 +209,12 @@ def test_query_rejects_lone_surrogate(d, m):
     # and through the split probes (m=1), and as the exhaustive scan does.
     dictionary = Dictionary(["ab", "cd"])
     idx = FastSSIndex.build(dictionary, IndexParams(d, m))
+    # "\ud800" * 10 is too long to match and is rejected without probing.
     for query in (idx.candidates, idx.search,
                   lambda q: NaiveScanner(dictionary).scan(q, d)):
-        with pytest.raises(UnicodeEncodeError):
-            query("c\ud800d")
+        for q in ("c\ud800d", "\ud800" * 10):
+            with pytest.raises(UnicodeEncodeError):
+                query(q)
 
 
 def test_table_id_lists_sorted_unique():
@@ -365,8 +367,8 @@ def test_search_calls_the_kernel_once_per_query(monkeypatch):
     idx = FastSSIndex.build(Dictionary(words), IndexParams(2, 6))
     calls = []
 
-    def counting(query, text, *ends):
-        distances = lane_distances(query, text, *ends)
+    def counting(query, text):
+        distances = lane_distances(query, text)
         calls.append(len(distances))
         return distances
 
@@ -375,7 +377,7 @@ def test_search_calls_the_kernel_once_per_query(monkeypatch):
         calls.clear()
         idx.search(q)
         candidates = idx.candidates(q)
-        if candidates:
+        if len(candidates):
             assert calls == [len(candidates)], q
     assert any(len(idx.candidates(q)) > 10 for q in words[:40])
 
@@ -393,8 +395,8 @@ def test_split_cover_property():
         prefix, suffix = split_word(w)
         half = d // 2
         assert any(
-            edit_distance_verifier(q[:cut], half)(prefix) is not None
-            or edit_distance_verifier(q[cut:], half)(suffix) is not None
+            full_edit_distance(q[:cut], prefix) <= half
+            or full_edit_distance(q[cut:], suffix) <= half
             for cut in split_positions(len(q), d)
         ), (w, q, d)
 
