@@ -81,50 +81,34 @@ class NaiveScanner:
         return matches
 
 
-class _Node:
-    __slots__ = ("word_id", "children")
-
-    def __init__(self, word_id: int):
-        self.word_id = word_id
-        self.children: dict[int, _Node] = {}
-
-
 class BKTree:
     """Metric tree over a dictionary: each edge is labeled with the exact
     distance between child and parent, and queries prune edges whose label
     lies outside [v - d, v + d] by the triangle inequality.
 
-    One word per node, inserted in dictionary order, so trees and their
-    traversal statistics are reproducible.
+    Node i is word i: words are inserted in dictionary order under word 0,
+    the root, so trees and their traversal statistics are reproducible.
+    ``_children[i]`` maps each edge label below node i to its child.
     """
 
-    __slots__ = ("_dictionary", "_root")
+    __slots__ = ("_words", "_children")
 
-    def __init__(self, dictionary: Dictionary, root: _Node):
-        self._dictionary = dictionary
-        self._root = root
+    def __init__(self, words: tuple[str, ...], children: list[dict[int, int]]):
+        self._words = words
+        self._children = children
 
     @classmethod
     def build(cls, dictionary: Dictionary) -> "BKTree":
         if len(dictionary) == 0:
             raise ValueError("cannot build a BK-tree from an empty dictionary")
         words = dictionary.words
-        root = _Node(0)
+        children: list[dict[int, int]] = [{} for _ in words]
         for word_id in range(1, len(words)):
-            word = words[word_id]
-            node = root
-            while True:
-                dist = full_edit_distance(words[node.word_id], word)
-                child = node.children.get(dist)
-                if child is None:
-                    node.children[dist] = _Node(word_id)
-                    break
-                node = child
-        return cls(dictionary, root)
-
-    @property
-    def dictionary(self) -> Dictionary:
-        return self._dictionary
+            node = 0
+            while node != word_id:  # descend until the word lands as a new child
+                dist = full_edit_distance(words[node], words[word_id])
+                node = children[node].setdefault(dist, word_id)
+        return cls(words, children)
 
     def query(self, query: str, max_distance: int) -> tuple[list[Match], int]:
         """Returns (matches sorted by (distance, id), number of distance
@@ -133,41 +117,17 @@ class BKTree:
         TypeError for a query that is not a ``str``."""
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
-        words = self._dictionary.words
         matches = []
         computations = 0
-        stack = [self._root]
+        stack = [0]
         while stack:
             node = stack.pop()
-            dist = full_edit_distance(words[node.word_id], query)
+            dist = full_edit_distance(self._words[node], query)
             computations += 1
             if dist <= max_distance:
-                matches.append(Match(node.word_id, dist))
+                matches.append(Match(node, dist))
             low, high = dist - max_distance, dist + max_distance
-            for label, child in node.children.items():
-                if low <= label <= high:
-                    stack.append(child)
+            stack.extend(child for label, child in self._children[node].items()
+                         if low <= label <= high)
         matches.sort(key=lambda match: (match.distance, match.word_id))
         return matches, computations
-
-    def node_count(self) -> int:
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
-        return count
-
-    def check_edge_invariant(self) -> bool:
-        """Every edge label equals the exact distance between the words at
-        its ends. Used by tests; full traversal."""
-        words = self._dictionary.words
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for label, child in node.children.items():
-                if full_edit_distance(words[node.word_id], words[child.word_id]) != label:
-                    return False
-                stack.append(child)
-        return True

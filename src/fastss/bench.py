@@ -52,7 +52,6 @@ class Workload:
     that generated them."""
 
     seed: int
-    max_errors: int
     cases: tuple[QueryCase, ...]
 
     def __len__(self) -> int:
@@ -103,18 +102,13 @@ def load_dictionary(path: str | Path) -> Dictionary:
     blank lines are skipped and duplicate lines are dropped keeping the
     first occurrence."""
     data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
-    words = []
-    seen = set()
-    for lineno, raw in enumerate(data.split(b"\n"), 1):
-        raw = raw.rstrip(b"\r")
-        try:
-            word = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
-        if word and word not in seen:
-            seen.add(word)
-            words.append(word)
-    return Dictionary(words)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
+    lines = (line.rstrip("\r") for line in text.split("\n"))
+    return Dictionary(list(dict.fromkeys(line for line in lines if line)))
 
 
 def bundled_words_path() -> Path:
@@ -151,7 +145,7 @@ def perturb(dictionary: Dictionary, count: int, max_errors: int, seed: int) -> W
                 pos = rng.randrange(len(word))
                 word = word[:pos] + rng.choice(LOWERCASE) + word[pos + 1:]
         cases.append(QueryCase(word, source_id, edits))
-    return Workload(seed, max_errors, tuple(cases))
+    return Workload(seed, tuple(cases))
 
 
 def run_benchmark(dictionary: Dictionary, params: IndexParams, workload: Workload,

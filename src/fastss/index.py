@@ -341,8 +341,9 @@ class FastSSIndex:
     @classmethod
     def from_bytes(cls, data) -> "FastSSIndex":
         """The index that ``to_bytes`` wrote to ``data``, any bytes-like
-        object. Raises ``IndexFormatError``, naming a byte, for anything
-        ``to_bytes`` would not write."""
+        object. Raises ``IndexFormatError``, naming a byte, for wrong sizes,
+        keys out of order, a key with no ids, or word ids out of range or
+        order. The keys are not checked against the words."""
         view = memoryview(data).cast("B")
         if view[:4] != _MAGIC:
             raise IndexFormatError(f"bad magic {bytes(view[:4])!r} at byte 0")
@@ -382,15 +383,20 @@ class FastSSIndex:
 
         # Copies into native arrays, so queries never read the unaligned file.
         keys = np.frombuffer(view, "<u8", key_count, keys_at).astype(np.uint64)
+        counts = np.frombuffer(view, "<u4", key_count, counts_at)
         offsets = np.zeros(key_count + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(view, "<u4", key_count, counts_at), dtype=np.int64,
-                  out=offsets[1:])
+        np.cumsum(counts, dtype=np.int64, out=offsets[1:])
         if offsets[-1] != id_count:
             k = int(offsets.searchsorted(id_count, side="right")) - 1  # the first past N
             where = (f"the id count of key {k} at byte {counts_at + 4 * k} runs past"
                      if offsets[-1] > id_count
                      else f"the id counts at byte {counts_at} fall short of")
             raise IndexFormatError(f"{where} the {id_count} ids that byte 27 gives")
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            k = int(empty[0])
+            raise IndexFormatError(f"key {k} has no ids: its id count at byte "
+                                   f"{counts_at + 4 * k} is 0")
         ids = np.frombuffer(view, "<u4", id_count, ids_at).astype(np.uint32)
 
         descending = np.flatnonzero(keys[1:] <= keys[:-1])

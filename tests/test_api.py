@@ -14,7 +14,8 @@ PUBLIC = {
     "load_dictionary", "bundled_words_path",
 }
 
-HARNESS = Path(__file__).resolve().parent.parent / "perfbench" / "harness.py"
+ROOT = Path(__file__).resolve().parent.parent
+HARNESS = ROOT / "perfbench" / "harness.py"
 
 
 def test_public_surface_is_pinned():
@@ -37,3 +38,26 @@ def test_benchmark_imports_are_public():
     private = {(module, name) for module, name in imported
                if name not in importlib.import_module(module).__all__}
     assert not private, private
+
+
+def test_every_definition_is_used_outside_the_tests():
+    # A function, class or method that only a test calls is dead code. Each
+    # one defined in the package must be named in the package, a demo or
+    # the benchmark harness (its own tests excluded).
+    package = sorted((ROOT / "src" / "fastss").glob("*.py"))
+    defined = {node.name for path in package for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    users = package + sorted((ROOT / "demos").glob("*.py")) + [
+        path for path in sorted((ROOT / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")]
+    used = set()
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert defined <= used, sorted(defined - used)

@@ -55,7 +55,7 @@ def test_naive_agrees_with_index_both_directions():
 def test_bk_single_word():
     tree = BKTree.build(Dictionary(["solo"]))
     assert tree.query("solo", 0) == ([Match(0, 0)], 1)
-    assert tree.node_count() == 1
+    assert tree._children == [{}]
 
 
 def test_bk_empty_dictionary_rejected():
@@ -76,8 +76,15 @@ def test_bk_structure_invariants():
     for _ in range(20):
         words = random_unique_words(rng, rng.randint(1, 80), 1, 10)
         tree = BKTree.build(Dictionary(words))
-        assert tree.node_count() == len(words)
-        assert tree.check_edge_invariant()
+        # Every word is reached exactly once from the root, and every edge
+        # label is the exact distance between the words at its ends.
+        reached = [0]
+        for node in reached:
+            for label, child in tree._children[node].items():
+                assert label == full_edit_distance(words[node], words[child])
+                reached.append(child)
+            assert len(reached) <= len(words)  # a cycle would never end
+        assert sorted(reached) == list(range(len(words)))
 
 
 def test_bk_results_equal_naive():

@@ -52,9 +52,15 @@ def test_load_dictionary_strips_byte_order_mark(tmp_path):
 
 def test_load_dictionary_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_bytes(b"good\nalso good\n\xff\xfe broken\nmore\n")
-    with pytest.raises(ValueError, match=r"bad\.txt:3"):
-        load_dictionary(path)
+    for data, line in [
+        (b"good\nalso good\n\xff\xfe broken\nmore\n", 3),
+        (b"\xefbad\ngood\n", 1),                 # first line
+        (b"\xef\xbb\xbf\xffbad\ngood\n", 1),     # first line, after a byte-order mark
+        (b"good\r\nalso good\r\nlast \xc3", 3),  # last line, no final newline
+    ]:
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"bad\.txt:{line}: invalid UTF-8 \("):
+            load_dictionary(path)
 
 
 def test_load_dictionary_missing_file(tmp_path):

@@ -1,5 +1,7 @@
 """The index file: pinned writer output, and a reader that names the byte of
-every format error and accepts only blobs it would write back as they are."""
+every format error and writes back as they are the blobs it accepts. The
+reader checks sizes, order, id ranges and non-empty keys, not the key set
+the words would give, so a blob edited within those rules still loads."""
 
 import hashlib
 import struct
@@ -160,6 +162,20 @@ def test_inflated_id_count_names_its_byte(count):
             FastSSIndex.from_bytes(bytes(blob))
 
 
+def test_key_without_ids_names_its_byte():
+    # Key 1's ids moved under key 2 keep every size and order the reader
+    # checks, but a probe of key 1 would find nothing.
+    blob = bytearray(FastSSIndex.build(Dictionary(["ab", "ba", "abc"]),
+                                       IndexParams(1)).to_bytes())
+    table = layout(blob)
+    merged = table.ids[table.counts[0]:table.counts[0] + table.counts[1] + table.counts[2]]
+    assert list(merged) == sorted(set(merged))
+    at = table.counts_at + 4
+    struct.pack_into("<2I", blob, at, 0, table.counts[1] + table.counts[2])
+    with pytest.raises(IndexFormatError, match=rf"^key 1 has no ids: .* at byte {at} is 0$"):
+        FastSSIndex.from_bytes(bytes(blob))
+
+
 def test_every_format_error_names_a_byte():
     # One blob per kind of damage, each reaching a different check.
     blob = small_blob()  # words "abc\nabd\nxyz" from byte 35
@@ -226,8 +242,9 @@ def mutated_blobs(draw) -> bytes:
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
 @given(mutated_blobs())
 def test_reader_fuzz_rejects_or_round_trips(blob):
-    # Keys strictly ascending, ids ascending and in range, exact length:
-    # what the reader accepts is exactly what the writer writes.
+    # Exact length, keys strictly ascending, every key with ids, ids
+    # ascending and in range: what the reader accepts, it writes back byte
+    # for byte. It does not check the keys against the words.
     try:
         index = FastSSIndex.from_bytes(blob)
     except IndexFormatError:
