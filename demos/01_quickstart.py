@@ -24,7 +24,7 @@ print(f"table holds {index.stats.stored_pairs} (key, word-id) pairs "
 
 for query in ["ship", "shep", "qeury", "gild", "xylophone"]:
     matches = index.search(query)
-    shown = ", ".join(f"{dictionary[m.word_id]}({m.distance})" for m in matches)
+    shown = ", ".join(f"{dictionary[word_id]}({distance})" for word_id, distance in matches)
     print(f"{query!r:14} -> {shown or 'no matches'}")
 
     # Lossless: the filtered search equals the exhaustive scan, always.

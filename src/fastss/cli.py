@@ -112,8 +112,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_query(args) -> int:
     index = FastSSIndex.from_bytes(Path(args.index).read_bytes())
-    for match in index.search(args.word):
-        print(f"{index.dictionary[match.word_id]}\t{match.distance}")
+    for word_id, distance in index.search(args.word):
+        print(f"{index.dictionary[word_id]}\t{distance}")
     return 0
 
 

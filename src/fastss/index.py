@@ -18,17 +18,16 @@ id) pairs by key, then id; a query enumerates its keys with the scalar
 ``residual_keys`` and looks them all up with one binary search.
 ``candidates`` returns the ids as one ascending array, and ``search``
 keeps them in it up to the match list, so no Python code runs once per
-candidate: only a match becomes a Python tuple. The file is a
-fixed header that gives the size of every section, the words as one UTF-8
-block, and the same three arrays back to back, so it is written and read
-with one operation per section.
+candidate: only a match becomes a Python object, a plain ``(word_id,
+distance)`` tuple. The file is a fixed header that gives the size of every
+section, the words as one UTF-8 block, and the same three arrays back to
+back, so it is written and read with one operation per section.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -62,9 +61,18 @@ class Dictionary:
     __slots__ = ("_words",)
 
     def __init__(self, words: Iterable[str]):
-        self._words = tuple(words)
+        words = self._words = tuple(words)
+        try:
+            lines = "\n".join(words).count("\n") + 1
+        except TypeError:  # a word that is not a str
+            lines = 0
+        # Whole-list checks; only when one fails, the per-word loop below
+        # names the first offending word.
+        if not words or (lines == len(words) and "" not in words
+                         and len(set(words)) == len(words)):
+            return
         seen: set[str] = set()
-        for i, w in enumerate(self._words):
+        for i, w in enumerate(words):
             if not isinstance(w, str):
                 raise TypeError(f"word {i} must be str, not {type(w).__name__}")
             if not w:
@@ -278,15 +286,17 @@ class FastSSIndex:
         ids = np.sort(self._ids[np.arange(len(shifts)) + shifts])
         return ids[_run_starts(ids)]
 
-    def search(self, query: str) -> list[Match]:
-        """All dictionary words within ``max_distance`` of the query,
-        sorted by (distance, word id). Exactly the naive-scan result set.
-        Raises TypeError for a query that is not a ``str``."""
+    def search(self, query: str) -> list[tuple[int, int]]:
+        """All dictionary words within ``max_distance`` of the query, as
+        plain ``(word_id, distance)`` tuples sorted by (distance, word id).
+        Exactly the naive-scan result set; each pair compares equal to the
+        scan's ``Match``. Raises TypeError for a query that is not a ``str``."""
         return self._verify(query, self.candidates(query))
 
-    def _verify(self, query: str, ids: np.ndarray) -> list[Match]:
+    def _verify(self, query: str, ids: np.ndarray) -> list[tuple[int, int]]:
         """The words among the ascending candidate ``ids`` (an array)
-        within ``max_distance`` of the query, sorted by (distance, word id).
+        within ``max_distance`` of the query, as ``(word_id, distance)``
+        tuples sorted by (distance, word id).
 
         The candidates are verified as one text, each word followed by a
         line break, which no dictionary word contains."""
@@ -294,12 +304,15 @@ class FastSSIndex:
             return []
         words = itemgetter(*ids.tolist())(self._dictionary.words)  # a tuple, or one word
         distances = lane_distances(query, ("\n".join(words) if len(ids) > 1 else words) + "\n")
-        # A stable sort keeps the ascending ids within a distance.
-        matched = np.count_nonzero(distances <= self._params.max_distance)
-        order = distances.argsort(kind="stable")[:matched]
-        # tuple.__new__ is Match._make without its Python frame per match.
-        return list(map(tuple.__new__, repeat(Match),
-                        zip(ids[order].tolist(), distances[order].tolist())))
+        d = self._params.max_distance
+        near = np.flatnonzero(distances <= d)
+        # Every distance left is at most d, so the narrowest type that holds
+        # d holds them all; numpy's stable sort of an 8- or 16-bit key is a
+        # radix sort, and it keeps the ascending ids within a distance.
+        distances = distances[near].astype(np.min_scalar_type(d))
+        order = distances.argsort(kind="stable")
+        # Plain tuples of ints, which the garbage collector stops tracking.
+        return list(zip(ids[near[order]].tolist(), distances[order].tolist()))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FastSSIndex)

@@ -47,7 +47,7 @@ def test_load_dictionary_strips_byte_order_mark(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfship\nsheep\n")
     dictionary = load_dictionary(path)
     assert dictionary.words == ("ship", "sheep")
-    assert FastSSIndex.build(dictionary, IndexParams(1)).search("ship")[0].word_id == 0
+    assert FastSSIndex.build(dictionary, IndexParams(1)).search("ship")[0][0] == 0
 
 
 def test_load_dictionary_invalid_utf8_names_line(tmp_path):

@@ -290,8 +290,8 @@ def test_search_sorted_by_distance_then_id():
     idx = FastSSIndex.build(dictionary, IndexParams(2))
     results = idx.search("abcd")
     assert results[0] == Match(0, 0)
-    assert [(m.distance, m.word_id) for m in results] == sorted(
-        (m.distance, m.word_id) for m in results)
+    assert [(m[1], m[0]) for m in results] == sorted(
+        (m[1], m[0]) for m in results)
 
 
 def test_losslessness_against_naive():
@@ -305,7 +305,41 @@ def test_losslessness_against_naive():
             idx = FastSSIndex.build(dictionary, IndexParams(d, m))
             for _ in range(60):
                 q = perturb_word(rng, rng.choice(words), rng.randint(0, d))
-                assert idx.search(q) == naive(dictionary, q, d), (q, d, m)
+                matches = idx.search(q)
+                # Plain (word_id, distance) pairs, not a tuple subclass.
+                assert all(type(match) is tuple for match in matches), (q, d, m)
+                assert matches == naive(dictionary, q, d), (q, d, m)
+
+
+def test_search_beyond_a_byte_of_distance_equals_scan():
+    # Past d = 255 the match distances are sorted as uint16; every word of
+    # 2 to 4 characters is within d of a 3-character query.
+    words = ["ab", "ba", "abc", "cab", "bcad", "dcba", "aaaa", "cc"]
+    dictionary = Dictionary(words)
+    scanner = NaiveScanner(dictionary)
+    idx = FastSSIndex.build(dictionary, IndexParams(300))
+    for q in ["abc", "cba", "zzz", "aab", "dcb"]:
+        matches = idx.search(q)
+        assert len(matches) == len(words)
+        assert matches == scanner.scan(q, 300), q
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_split_candidates_beyond_a_byte_of_distance_never_match(d):
+    # A query that copies a long split word's prefix and replaces its last
+    # 256 to 259 characters is a candidate at distance 256 to 259, which is
+    # d or less modulo 256: it must not match once distances fit a byte.
+    rng = random.Random(24)
+    words = random_unique_words(rng, 6, 601, 640, alphabet="ab")
+    dictionary = Dictionary(words)
+    scanner = NaiveScanner(dictionary)
+    idx = FastSSIndex.build(dictionary, IndexParams(d, 7))
+    for word_id, w in enumerate(words):
+        for changed in range(256, 260):
+            q = w[:-changed] + "x" * changed
+            assert scanner.distances(q)[word_id] == changed
+            assert word_id in idx.candidates(q)
+            assert idx.search(q) == scanner.scan(q, d) == [], (word_id, changed)
 
 
 def test_losslessness_with_empty_and_short_queries():
