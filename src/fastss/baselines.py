@@ -19,22 +19,21 @@ __all__ = ["NaiveScanner", "BKTree"]
 _PAD = 0x110000  # above every valid code point, never equal to query chars
 
 
-def _codepoints(word: str) -> np.ndarray:
-    return np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
-
-
 class NaiveScanner:
     """Scans a fixed dictionary; encode once, query many times."""
 
     def __init__(self, dictionary: Dictionary):
-        self._dictionary = dictionary
+        codes, starts = dictionary.codes, dictionary.starts
         n = len(dictionary)
-        self._lengths = np.fromiter((len(w) for w in dictionary),
-                                    dtype=np.int64, count=n)
-        width = int(self._lengths.max()) if n else 0
+        self._lengths = np.diff(starts) - 1
+        width = int(self._lengths.max(initial=0))
+        # Row w of the matrix is word w, padded. Slot k of the code points
+        # is in word row[k], at column k - starts[row[k]]; the line break
+        # after each word is left out.
         self._matrix = np.full((n, width), _PAD, dtype=np.uint32)
-        for i, word in enumerate(dictionary):
-            self._matrix[i, :len(word)] = _codepoints(word)
+        row = np.repeat(np.arange(n), self._lengths + 1)
+        chars = np.flatnonzero(codes != 10)
+        self._matrix[row[chars], chars - starts[row[chars]]] = codes[chars]
 
     def distances(self, query: str) -> np.ndarray:
         """Exact edit distance from ``query`` to every dictionary word.
@@ -58,7 +57,7 @@ class NaiveScanner:
         staged = np.empty_like(row)
         vertical = np.empty((n, width), dtype=dtype)
         same = np.empty(self._matrix.shape, dtype=bool)
-        for i, qc in enumerate(_codepoints(query), 1):
+        for i, qc in enumerate(np.frombuffer(query.encode("utf-32-le"), np.uint32), 1):
             # in shifted space: diagonal costs -1 on equal characters and
             # 0 otherwise, deleting the query character costs +1, and an
             # insertion run costs 0, so it becomes a running minimum.

@@ -1,10 +1,11 @@
 """Levenshtein edit distance: a plain full-table version used as the ground
 truth everywhere, and a bit-parallel kernel that computes the distances
 from one query to a whole batch of words in one pass, one lane per word.
-The batch is one text, each word followed by a line break, and each of its
-characters is one bit of a Python int: a lane is its word's rows plus the
-spare bit at the line break. ``lane_distances`` takes that text, so its
-words contain no line break.
+The batch is one array of code points, each word followed by one spare
+slot, and each slot is one bit of a Python int: a lane is its word's rows
+plus the spare bit. ``lane_distances`` takes that array and the lane
+starts, so the index hands it a gather of the dictionary's own code points,
+where the spare slot is each word's ``"\n"``.
 
 Strings are compared as sequences of Unicode code points; insertions,
 deletions and substitutions all cost 1.
@@ -41,39 +42,48 @@ def full_edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-def lane_distances(query: str, text: str) -> np.ndarray:
-    """The edit distance from ``query`` to each word of ``text``, the words
-    each followed by one ``"\n"``, as an int64 array in text order.
+def lane_distances(query: str, codes: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """The edit distance from ``query`` to the word of each lane of
+    ``codes``, as an int64 array in lane order.
+
+    ``codes`` holds code points in any unsigned integer dtype, and
+    ``lanes`` the ascending start of each lane in it, the first at 0. A
+    lane runs up to the next start, the last one to the end of ``codes``,
+    and is its word followed by one spare slot, whose code point is never
+    read.
 
     Bit-vector dynamic programming (Myers 1999, in the global-distance form
     of Hyyrö 2001), run once per query character over all words at once.
-    Bit i of one Python int is character i of ``text``, so each word is one
-    lane: its rows, then one spare bit at its line break. ``pv``/``mv``
-    hold the column's vertical +1/-1 deltas, kept within the ``rows``. A
-    carry out of a word's top row stops in its spare bit, and the shifted
-    horizontal deltas take their top row's +1 from ``low``, so no lane
-    reads its neighbour. After the last column a lane's distance is
-    ``len(query)`` plus its ``pv`` bits minus its ``mv`` bits: the steps of
-    one running sum of ``pv - mv`` from one lane end to the next.
+    Bit i of one Python int is slot i of ``codes``, so each word is one
+    lane: its rows, then its spare bit. ``pv``/``mv`` hold the column's
+    vertical +1/-1 deltas, kept within the ``rows``. A carry out of a
+    word's top row stops in its spare bit, and the shifted horizontal
+    deltas take their top row's +1 from ``low``, so no lane reads its
+    neighbour. After the last column a lane's distance is ``len(query)``
+    plus its ``pv`` bits minus its ``mv`` bits, one sum per lane.
     """
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
-    spare = codes == 10
-    ends = spare.nonzero()[0]
-    if not len(ends):
+    if not len(lanes):
         return np.zeros(0, np.int64)
     bits, size = len(codes), (len(codes) + 7) // 8
-    spare_bits = int.from_bytes(np.packbits(spare, bitorder="little").tobytes(), "little")
+    first = np.zeros(bits, bool)
+    first[lanes] = True
+    first_bits = int.from_bytes(np.packbits(first, bitorder="little").tobytes(), "little")
+    # a lane's spare bit lies just below the next lane's first bit
+    spare_bits = (first_bits >> 1) | (1 << (bits - 1))
     rows = ((1 << bits) - 1) ^ spare_bits
-    chars = "".join(dict.fromkeys(query))
-    points = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), "<u4")
+    # A query character above the dtype's range matches no slot; the others
+    # compare in the dtype of the codes, which is several times faster.
+    top = (1 << 8 * codes.itemsize) - 1
+    chars = "".join(c for c in dict.fromkeys(query) if ord(c) <= top)
+    points = np.fromiter(map(ord, chars), codes.dtype, len(chars))
     matches = np.packbits(codes == points[:, None], axis=1, bitorder="little").tobytes()
     peq = {c: int.from_bytes(matches[i * size:(i + 1) * size], "little") & rows
            for i, c in enumerate(chars)}
 
-    low = ((spare_bits << 1) | 1) & rows  # the first row of every lane
+    low = first_bits & rows  # the first row of every lane with a word
     pv, mv = rows, 0  # first column: D[i][0] = i
     for c in query:
-        eq = peq[c]
+        eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv) & rows
@@ -86,7 +96,7 @@ def lane_distances(query: str, text: str) -> np.ndarray:
     # pv's bits, then mv's, one 0/1 byte each
     both = np.unpackbits(np.frombuffer((pv | mv << 8 * size).to_bytes(2 * size, "little"),
                                        np.uint8), bitorder="little").view(np.int8)
-    totals = (both[:bits] - both[8 * size:8 * size + bits]).cumsum(dtype=np.int64)[ends]
-    totals[1:] -= totals[:-1].copy()
+    totals = np.add.reduceat(both[:bits] - both[8 * size:8 * size + bits], lanes,
+                             dtype=np.int64)
     totals += len(query)
     return totals

@@ -1,10 +1,12 @@
 """Residual-key index over a word dictionary with lossless approximate
 queries.
 
+The ``Dictionary`` holds its words once, as one array of code points, each
+word followed by a line break, and every layer reads them from there.
 Every dictionary word contributes the hashed residuals of its deletion
 neighborhood; a query probes the same keys and verifies all surviving
-candidates in one bit-parallel pass over one text of their words, each
-followed by a line break, one lane per word. Words longer than the
+candidates in one bit-parallel pass over their words gathered from that
+array, one lane per word and its line break. Words longer than the
 splitting threshold m are instead stored as two halves of floor(d/2) edits
 each, which shrinks the index dramatically, while queries compensate by
 probing several split positions. ``IndexParams.word_parts`` and
@@ -13,22 +15,23 @@ probing several split positions. ``IndexParams.word_parts`` and
 The posting table is three flat, read-only numpy arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
 ascending order. A build hashes every word's distinct keys in numpy
-blocks, one word length at a time, and makes one sort of the (key, word
-id) pairs by key, then id; a query enumerates its keys with the scalar
-``residual_keys`` and looks them all up with one binary search.
+blocks, one word length at a time, straight from the code points, and
+makes one sort of the (key, word id) pairs by key, then id; a query
+enumerates its keys with the scalar ``residual_keys`` and looks them all
+up with one binary search.
 ``candidates`` returns the ids as one ascending array, and ``search``
 keeps them in it up to the match list, so no Python code runs once per
 candidate: only a match becomes a Python object, a plain ``(word_id,
-distance)`` tuple. The file is a fixed header that gives the size of every
-section, the words as one UTF-8 block, and the same three arrays back to
-back, so it is written and read with one operation per section.
+distance)`` tuple; neither build nor search makes a ``str`` of a word.
+The file is a fixed header that gives the size of every section, the
+words as one UTF-8 block, and the same three arrays back to back, so it is
+written and read with one operation per section.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -56,56 +59,84 @@ _HEADER = struct.Struct("<4sHBIQQQ")
 
 class Dictionary:
     """Ordered list of unique, non-empty ``str`` words without line breaks.
-    A word's position is its permanent id."""
+    A word's position is its permanent id.
 
-    __slots__ = ("_words",)
+    The words are held once, as ``codes``: the code points of
+    ``"\n".join(words) + "\n"`` in the narrowest unsigned dtype that holds
+    them (``uint8`` for ASCII), with ``starts``, where word i begins, and
+    ``len(codes)`` last, so that ``codes[starts[i]:starts[i + 1]]`` is word i
+    and its ``"\n"``. Both arrays are read-only. The words are decoded as
+    ``str`` only when asked for. Raises UnicodeEncodeError for a word with
+    a lone surrogate, which has no code point to store.
+    """
+
+    __slots__ = ("_codes", "_starts")
 
     def __init__(self, words: Iterable[str]):
-        words = self._words = tuple(words)
+        words = tuple(words)
         try:
-            lines = "\n".join(words).count("\n") + 1
+            text = "\n".join(words)
+            lines = text.count("\n") + 1
         except TypeError:  # a word that is not a str
             lines = 0
         # Whole-list checks; only when one fails, the per-word loop below
         # names the first offending word.
-        if not words or (lines == len(words) and "" not in words
-                         and len(set(words)) == len(words)):
-            return
-        seen: set[str] = set()
-        for i, w in enumerate(words):
-            if not isinstance(w, str):
-                raise TypeError(f"word {i} must be str, not {type(w).__name__}")
-            if not w:
-                raise ValueError(f"empty word at position {i}")
-            if "\n" in w:
-                raise ValueError(f"word {w!r} at position {i} contains a line break")
-            if w in seen:
-                raise ValueError(f"duplicate word {w!r} at position {i}")
-            seen.add(w)
+        if words and not (lines == len(words) and "" not in words
+                          and len(set(words)) == len(words)):
+            seen: set[str] = set()
+            for i, w in enumerate(words):
+                if not isinstance(w, str):
+                    raise TypeError(f"word {i} must be str, not {type(w).__name__}")
+                if not w:
+                    raise ValueError(f"empty word at position {i}")
+                if "\n" in w:
+                    raise ValueError(f"word {w!r} at position {i} contains a line break")
+                if w in seen:
+                    raise ValueError(f"duplicate word {w!r} at position {i}")
+                seen.add(w)
+        codes = np.frombuffer((text + "\n" if words else "").encode("utf-32-le"), "<u4")
+        codes = codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
+        starts = np.zeros(len(words) + 1, dtype=np.int64)
+        starts[1:] = np.flatnonzero(codes == 10) + 1
+        codes.flags.writeable = starts.flags.writeable = False
+        self._codes, self._starts = codes, starts
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self._codes
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self._starts
 
     @property
     def words(self) -> tuple[str, ...]:
-        return self._words
+        return tuple(_decode(self._codes[:-1]).split("\n")) if len(self) else ()
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._starts) - 1
 
     def __getitem__(self, word_id: int) -> str:
-        return self._words[word_id]
+        i = range(len(self))[word_id]  # negative ids count from the end
+        return _decode(self._codes[self._starts[i]:self._starts[i + 1] - 1])
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._words)
+        return iter(self.words)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Dictionary) and self._words == other._words
+        return isinstance(other, Dictionary) and np.array_equal(self._codes, other._codes)
 
     def __repr__(self) -> str:
-        return f"Dictionary({len(self._words)} words)"
+        return f"Dictionary({len(self)} words)"
 
     def mean_length(self) -> float:
-        if not self._words:
-            return 0.0
-        return sum(map(len, self._words)) / len(self._words)
+        """Mean characters per word: every code point but the line breaks."""
+        return (len(self._codes) - len(self)) / len(self) if len(self) else 0.0
+
+
+def _decode(codes: np.ndarray) -> str:
+    """The ``str`` of an array of code points."""
+    return codes.astype("<u4").tobytes().decode("utf-32-le")
 
 
 @dataclass(frozen=True)
@@ -221,7 +252,7 @@ class FastSSIndex:
         self._keys = keys
         self._offsets = offsets
         self._ids = ids
-        self._longest = max(map(len, dictionary), default=0)
+        self._longest = int(np.diff(dictionary.starts).max(initial=1)) - 1
 
     @classmethod
     def build(cls, dictionary: Dictionary, params: IndexParams) -> "FastSSIndex":
@@ -230,7 +261,8 @@ class FastSSIndex:
 
         ``residual_key_pairs`` hashes each word's distinct keys; one sort
         by (key, id) then lays the pairs out as the posting table."""
-        unsorted, ids = residual_key_pairs(dictionary.words, params.word_parts)
+        unsorted, ids = residual_key_pairs(dictionary.codes, dictionary.starts,
+                                           params.word_parts)
         order = np.lexsort((ids, unsorted))
         ids = ids[order]
         keys = unsorted[order]
@@ -278,12 +310,7 @@ class FastSSIndex:
         probes = np.fromiter(keys, dtype=np.uint64, count=len(keys))
         rows = self._keys.searchsorted(probes)
         rows = rows[self._keys.take(rows, mode="clip") == probes]
-        starts = self._offsets[rows]
-        lengths = self._offsets[rows + 1] - starts
-        # The hit postings run after run: the i-th of them is _ids[i + shift],
-        # where shift is its run's start minus the ids of the runs before.
-        shifts = np.repeat(starts - (lengths.cumsum() - lengths), lengths)
-        ids = np.sort(self._ids[np.arange(len(shifts)) + shifts])
+        ids = np.sort(_runs(self._ids, self._offsets[rows], self._offsets[rows + 1])[0])
         return ids[_run_starts(ids)]
 
     def search(self, query: str) -> list[tuple[int, int]]:
@@ -298,12 +325,13 @@ class FastSSIndex:
         within ``max_distance`` of the query, as ``(word_id, distance)``
         tuples sorted by (distance, word id).
 
-        The candidates are verified as one text, each word followed by a
-        line break, which no dictionary word contains."""
+        The candidates are verified in one kernel call over their lanes of
+        the dictionary's code points: each word and its line break."""
         if not len(ids):
             return []
-        words = itemgetter(*ids.tolist())(self._dictionary.words)  # a tuple, or one word
-        distances = lane_distances(query, ("\n".join(words) if len(ids) > 1 else words) + "\n")
+        starts = self._dictionary.starts
+        codes, lanes = _runs(self._dictionary.codes, starts[ids], starts[1:][ids])
+        distances = lane_distances(query, codes, lanes)
         d = self._params.max_distance
         near = np.flatnonzero(distances <= d)
         # Every distance left is at most d, so the narrowest type that holds
@@ -345,7 +373,7 @@ class FastSSIndex:
             raise ValueError("max_distance does not fit the file format (u8)")
         if m is not None and m >= UNBOUNDED_SENTINEL:
             raise ValueError("split_threshold does not fit the file format (u32)")
-        words = "\n".join(self._dictionary.words).encode("utf-8")
+        words = _decode(self._dictionary.codes[:-1]).encode("utf-8")
         header = _HEADER.pack(_MAGIC, _VERSION, d, UNBOUNDED_SENTINEL if m is None else m,
                               len(words), len(self._keys), len(self._ids))
         return b"".join((header, words, self._keys.astype("<u8"),
@@ -432,6 +460,18 @@ class FastSSIndex:
                 f"word ids not strictly ascending in key "
                 f"{offsets.searchsorted(i, side='right') - 1} at byte {ids_at + 4 * i}")
         return cls(dictionary, params, keys, offsets, ids)
+
+
+def _runs(values: np.ndarray, starts: np.ndarray, stops: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``values[starts[i]:stops[i]]`` back to back, gathered with
+    one index array, and where each run begins in them."""
+    lengths = stops - starts
+    begins = lengths.cumsum() - lengths
+    # The j-th value gathered is values[j + shift], where shift is its run's
+    # start minus the lengths of the runs before it.
+    shifts = np.repeat(starts - begins, lengths)
+    return values[np.arange(len(shifts)) + shifts], begins
 
 
 def _run_starts(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

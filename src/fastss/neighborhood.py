@@ -113,14 +113,18 @@ Part = tuple[int, int, int, HalfTag]
 ``max_deletions`` deletions under ``tag``: (start, stop, max_deletions, tag)."""
 
 
-def residual_key_pairs(words: Sequence[str], parts: Callable[[int], Sequence[Part]]
+def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
+                       parts: Callable[[int], Sequence[Part]]
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Every word's distinct residual keys, as a ``uint64`` key array and
-    a ``uint32`` word-id array of equal length.
+    a ``uint32`` word-id array of equal length. Word i is the code points
+    ``codes[starts[i]:starts[i + 1] - 1]``: the words are laid out as in
+    ``Dictionary``, each followed by one separator, which is not read.
 
     A word of length L contributes the union of ``residual_keys(word[start:
     stop], max_deletions, tag)`` over ``parts(L)``. Pairs come grouped by
-    word length, ascending ids within a length; each word's keys ascend.
+    word length, shortest first, ascending ids within a length; each word's
+    keys ascend.
 
     The words of one length are hashed together, in blocks of at most
     ``BLOCK_STATES`` states: one row per word and one column per set of
@@ -132,9 +136,11 @@ def residual_key_pairs(words: Sequence[str], parts: Callable[[int], Sequence[Par
     A row's repeated keys are then dropped. The key and id buffers are
     allocated once, sized by the states of every word.
     """
-    groups: dict[int, list[int]] = {}
-    for word_id, word in enumerate(words):
-        groups.setdefault(len(word), []).append(word_id)
+    lengths = np.diff(starts) - 1
+    # Not np.unique: its first call imports numpy.ma, about 0.5 MB that a
+    # build would leave resident.
+    groups = {int(length): np.flatnonzero(lengths == length)
+              for length in np.flatnonzero(np.bincount(lengths))}
     widths = {length: sum(_state_count(stop - start, max_deletions)
                           for start, stop, max_deletions, _ in parts(length))
               for length in groups}
@@ -148,11 +154,7 @@ def residual_key_pairs(words: Sequence[str], parts: Callable[[int], Sequence[Par
         rows = max(1, BLOCK_STATES // widths[length])
         for first in range(0, len(group), rows):
             block = group[first:first + rows]
-            text = "".join(map(words.__getitem__, block))
-            # Raises UnicodeEncodeError on a lone surrogate, as
-            # residual_keys does.
-            chars = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
-            chars = chars.reshape(len(block), length)
+            chars = codes[starts[block, None] + np.arange(length)]
             states = np.empty((len(block), widths[length]), dtype=np.uint64)
             column = 0
             for start, stop, tag, sources in layout:

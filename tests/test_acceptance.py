@@ -12,6 +12,7 @@ serialization round-trips.
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from fastss.analysis import CollisionModel, expected_candidates
@@ -80,6 +81,7 @@ def test_criterion_1_losslessness(random_dictionary, bundled_dictionary,
 @criterion(2, "bit-vector kernel agrees with the full table on every pair")
 def test_criterion_2_band_full_equivalence():
     rng = random.Random(SEED + 10)
+    one_lane = np.zeros(1, np.int64)
     pairs = 0
     while pairs < 100_000:
         a = random_word(rng, 0, 15)
@@ -87,7 +89,8 @@ def test_criterion_2_band_full_equivalence():
             b = random_word(rng, 0, 15)
         else:
             b = perturb_word(rng, a, rng.randint(0, 6))[:15]
-        assert lane_distances(a, b + "\n").tolist() == [full_edit_distance(a, b)], (a, b)
+        codes = np.frombuffer((b + "\n").encode("ascii"), np.uint8)
+        assert lane_distances(a, codes, one_lane).tolist() == [full_edit_distance(a, b)], (a, b)
         pairs += 1
     return f"{pairs} pairs"
 

@@ -1,6 +1,7 @@
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from fastss.distance import full_edit_distance, lane_distances
@@ -73,8 +74,12 @@ def test_metric_properties():
 
 def lanes(query, words):
     """The kernel's distances from ``query`` to each of ``words``, laid out
-    as one text, each word followed by a line break."""
-    return lane_distances(query, "".join(w + "\n" for w in words))
+    as the code points of one text, each word followed by a line break, in
+    the narrowest dtype that holds them, as ``Dictionary`` stores them."""
+    codes = np.frombuffer("".join(w + "\n" for w in words).encode("utf-32-le"), "<u4")
+    codes = codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
+    starts = np.cumsum([0] + [len(w) + 1 for w in words])[:-1]
+    return lane_distances(query, codes, starts)
 
 
 def test_lane_trivial_cases():

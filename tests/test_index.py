@@ -55,6 +55,40 @@ def test_dictionary_rejects_non_str_words(word):
         Dictionary(["ab", word])
 
 
+# Word lists of every code-point width, each with the dtype it is stored in.
+WIDTHS = {
+    "ascii": ("ab!", "uint8"),
+    "latin1": ("a\xe9\xff", "uint8"),
+    "bmp": ("a\u0161\u20ac", "uint16"),
+    "astral": ("a\U0001d11e", "uint32"),
+}
+
+
+@pytest.mark.parametrize("width", [*WIDTHS, "bundled"])
+def test_dictionary_round_trips_its_code_points(width):
+    # The words are held once, as code points; every accessor decodes them.
+    if width == "bundled":
+        words, dtype = list(load_dictionary(bundled_words_path()).words), "uint8"
+    else:
+        alphabet, dtype = WIDTHS[width]
+        words = random_unique_words(random.Random(30), 200, 1, 8, alphabet)
+    dictionary = Dictionary(words)
+    assert dictionary.codes.dtype == dtype
+    assert dictionary.codes.tolist() == [ord(c) for w in words for c in w + "\n"]
+    assert dictionary.words == tuple(words) and list(dictionary) == words
+    assert [dictionary[i] for i in range(len(words))] == words
+    assert dictionary[-1] == words[-1]
+    with pytest.raises(IndexError):
+        dictionary[len(words)]
+    assert len(dictionary) == len(words)
+    assert dictionary.mean_length() == sum(map(len, words)) / len(words)
+    assert dictionary == Dictionary(list(words))
+    assert dictionary != Dictionary(words[:-1]) and dictionary != Dictionary(words[::-1])
+    for array in (dictionary.codes, dictionary.starts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
 def test_params_validation():
     IndexParams(0)
     IndexParams(3, None)
@@ -372,7 +406,7 @@ def test_search_query_with_line_break_equals_scan(d, m):
 
 @pytest.mark.parametrize("d, m", [(2, None), (3, 7)], ids=["d2", "d3-m7"])
 def test_search_non_ascii_words_equals_scan(d, m):
-    # Candidates are verified as one joined text: characters of 1 to 4
+    # Candidates are verified as one gather of code points: characters of 1 to 4
     # UTF-8 bytes and "\x00" inside words must keep every word in its lane,
     # at every word length from 1 to 60, and a query's "\n" matches none.
     rng = random.Random(23)
@@ -393,6 +427,27 @@ def test_search_non_ascii_words_equals_scan(d, m):
         assert idx.search(q) == scanner.scan(q, d), (q, d, m)
 
 
+@pytest.mark.parametrize("d, m", [(1, None), (2, 3)])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_search_at_every_code_point_width_equals_scan(width, d, m):
+    # The kernel compares code points in the dictionary's dtype. Queries
+    # hold characters beyond it whose low bits are a dictionary character:
+    # U+0161 and "a", U+0121 and "!", U+01E9 and U+00E9, U+10161 and U+0161.
+    alphabet, _ = WIDTHS[width]
+    rng = random.Random(31)
+    words = random_unique_words(rng, 150, 1, 8, alphabet)
+    dictionary = Dictionary(words)
+    scanner = NaiveScanner(dictionary)
+    idx = FastSSIndex.build(dictionary, IndexParams(d, m))
+    wide = "\u0161\u0121\u01e9\U00010161"
+    queries = [w.translate({ord("a"): "\u0161", ord("!"): "\u0121"}) for w in words[:20]]
+    queries += [perturb_word(rng, rng.choice(words), rng.randint(0, d + 1), alphabet + wide)
+                for _ in range(150)]
+    assert sum(any(c in wide for c in q) for q in queries) > 50
+    for q in queries:
+        assert idx.search(q) == scanner.scan(q, d) == naive(words, q, d), (q, d, m)
+
+
 def test_search_calls_the_kernel_once_per_query(monkeypatch):
     # All of a query's candidates are verified in one batch, whatever their
     # number; no query falls back to a word-by-word path.
@@ -401,8 +456,8 @@ def test_search_calls_the_kernel_once_per_query(monkeypatch):
     idx = FastSSIndex.build(Dictionary(words), IndexParams(2, 6))
     calls = []
 
-    def counting(query, text):
-        distances = lane_distances(query, text)
+    def counting(query, codes, lanes):
+        distances = lane_distances(query, codes, lanes)
         calls.append(len(distances))
         return distances
 
@@ -414,6 +469,25 @@ def test_search_calls_the_kernel_once_per_query(monkeypatch):
         if len(candidates):
             assert calls == [len(candidates)], q
     assert any(len(idx.candidates(q)) > 10 for q in words[:40])
+
+
+def test_build_and_search_never_decode_the_words(monkeypatch):
+    # The index reads the dictionary's code points only: a str per word
+    # would be a second resident copy of the words.
+    rng = random.Random(32)
+    dictionary = Dictionary(random_unique_words(rng, 300, 1, 12))
+    queries = [random_word(rng, 1, 14) for _ in range(40)]
+    expected = [NaiveScanner(dictionary).scan(q, 2) for q in queries]
+
+    def decoded(*args):
+        raise AssertionError("the words were decoded")
+
+    monkeypatch.setattr(Dictionary, "__iter__", decoded)
+    monkeypatch.setattr(Dictionary, "__getitem__", decoded)
+    monkeypatch.setattr(Dictionary, "words", property(decoded))
+    for params in (IndexParams(2), IndexParams(2, 5)):
+        idx = FastSSIndex.build(dictionary, params)
+        assert [idx.search(q) for q in queries] == expected
 
 
 def test_split_cover_property():
