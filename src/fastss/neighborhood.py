@@ -10,10 +10,10 @@ suffix halves in disjoint key spaces.
 
 ``residual_keys`` computes those hashes for one word in one pass, without
 building residual strings; queries use it. ``residual_key_pairs`` runs the
-same recurrence over a whole dictionary in numpy blocks, one word length
-at a time; index builds use it. ``full_neighborhood`` enumerates the
-residual strings themselves and is the reference both are tested against.
-The hash is part of the index file format and must stay bit-stable.
+same recurrence over a whole dictionary in one numpy pass per word length;
+index builds use it. ``full_neighborhood`` enumerates the residual strings
+themselves and is the reference both are tested against. The hash is part
+of the index file format and must stay bit-stable.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _PRIME = np.uint64(_FNV_PRIME)
-
-BLOCK_STATES = 4096
-"""Most hash states one block of ``residual_key_pairs`` holds; a word with
-more states is a block of its own. Blocks keep the build's temporaries
-(4,096 states are 32 kB) below glibc's initial 128 kB mmap threshold.
-Larger ones are mmapped, and freeing one raises that threshold, so the
-memory a build leaves resident would depend on the allocations around it."""
-
 
 class HalfTag(IntEnum):
     """Key-space tag mixed into every residual hash."""
@@ -126,13 +118,12 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     word length, shortest first, ascending ids within a length; each word's
     keys ascend.
 
-    The words of one length are hashed together, in blocks of at most
-    ``BLOCK_STATES`` states: one row per word and one column per set of
-    deleted positions, so that nothing needs merging across words. Each
-    character is one numpy step of the ``residual_keys`` recurrence on the
-    whole block: the states that delete it are copied from those with
-    deletions to spare, and the states that keep it take one FNV step by
-    its code point.
+    The words of one length are hashed in one numpy pass, as one matrix
+    with one row per word and one column per set of deleted positions, so
+    that nothing needs merging across words. Each character is one numpy
+    step of the ``residual_keys`` recurrence on the whole matrix: the
+    states that delete it are copied from those with deletions to spare,
+    and the states that keep it take one FNV step by its code point.
     A row's repeated keys are then dropped. The key and id buffers are
     allocated once, sized by the states of every word.
     """
@@ -149,27 +140,23 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     ids = np.empty(len(keys), dtype=np.uint32)
     filled = 0
     for length, group in groups.items():
-        layout = [(start, stop, tag, _deletion_sources(stop - start, max_deletions))
-                  for start, stop, max_deletions, tag in parts(length)]
-        rows = max(1, BLOCK_STATES // widths[length])
-        for first in range(0, len(group), rows):
-            block = group[first:first + rows]
-            chars = codes[starts[block, None] + np.arange(length)]
-            states = np.empty((len(block), widths[length]), dtype=np.uint64)
-            column = 0
-            for start, stop, tag, sources in layout:
-                column += _hash_part(states[:, column:], chars[:, start:stop], sources, tag)
-            # Drop each row's repeated keys. The default sort would page in
-            # about 190 kB more code, which counts as resident memory.
-            states.sort(axis=1, kind="stable")
-            keep = np.empty(states.shape, dtype=bool)
-            keep[:, 0] = True
-            np.not_equal(states[:, 1:], states[:, :-1], out=keep[:, 1:])
-            counts = keep.sum(axis=1)
-            end = filled + int(counts.sum())
-            np.compress(keep.ravel(), states.ravel(), out=keys[filled:end])
-            ids[filled:end] = np.repeat(block, counts)
-            filled = end
+        chars = codes[starts[group, None] + np.arange(length)]
+        states = np.empty((len(group), widths[length]), dtype=np.uint64)
+        column = 0
+        for start, stop, max_deletions, tag in parts(length):
+            column += _hash_part(states[:, column:], chars[:, start:stop],
+                                 _deletion_sources(stop - start, max_deletions), tag)
+        # Drop each row's repeated keys. The default sort would page in
+        # about 190 kB more code, which counts as resident memory.
+        states.sort(axis=1, kind="stable")
+        keep = np.empty(states.shape, dtype=bool)
+        keep[:, 0] = True
+        np.not_equal(states[:, 1:], states[:, :-1], out=keep[:, 1:])
+        counts = keep.sum(axis=1)
+        end = filled + int(counts.sum())
+        np.compress(keep.ravel(), states.ravel(), out=keys[filled:end])
+        ids[filled:end] = np.repeat(group, counts)
+        filled = end
     return keys[:filled], ids[:filled]
 
 

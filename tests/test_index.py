@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import fastss.index
-import fastss.neighborhood
 from fastss.baselines import NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary
 from fastss.distance import full_edit_distance, lane_distances
@@ -16,7 +15,7 @@ from fastss.index import (
     split_positions,
     split_word,
 )
-from fastss.neighborhood import BLOCK_STATES, HalfTag, full_neighborhood, residual_keys
+from fastss.neighborhood import HalfTag, full_neighborhood, residual_keys
 from helpers import perturb_word, random_unique_words, random_word
 
 
@@ -202,31 +201,27 @@ def reference_table(words, params):
 
 @pytest.mark.parametrize("d, m", [(0, None), (1, None), (2, None), (3, None),
                                   (3, 7), (3, 3), (2, 1), (4, 3)])
-def test_build_matches_per_word_residual_keys(d, m, monkeypatch):
-    # The batch build stores exactly each word's residual_keys, whatever the
-    # block size: one word per block, several, or a word over many blocks.
-    # One block per word costs about 2 s on the whole bundled list, so the
-    # small block sizes run on every tenth word of it.
+def test_build_matches_per_word_residual_keys(d, m):
+    # The batch build, one matrix per word length, stores exactly each
+    # word's residual_keys.
     rng = random.Random(23)
-    bundled = load_dictionary(bundled_words_path()).words
     inputs = [
-        (bundled, [BLOCK_STATES]),
-        (bundled[::10], [1, 7]),
+        load_dictionary(bundled_words_path()).words,
         # 1-, 2-, 3- and 4-byte UTF-8 characters
-        (random_unique_words(rng, 1500, 1, 12, alphabet="abü€𝄞ß"), [BLOCK_STATES, 1, 7]),
+        random_unique_words(rng, 1500, 1, 12, alphabet="abü€𝄞ß"),
         # shorter than d, and one word of 5,051 states at d=2
-        (["a", "é", "ab", "€𝄞", "abc", random_word(rng, 100, 100)], [BLOCK_STATES, 1, 7]),
-        ([], [BLOCK_STATES, 1]),
+        ["a", "é", "ab", "€𝄞", "abc", random_word(rng, 100, 100)],
+        # one length: the whole dictionary is one matrix
+        random_unique_words(rng, 3000, 6, 6),
+        [],
     ]
     params = IndexParams(d, m)
-    for words, block_sizes in inputs:
+    for words in inputs:
         keys, ids = reference_table(words, params)
-        for block_states in block_sizes:
-            monkeypatch.setattr(fastss.neighborhood, "BLOCK_STATES", block_states)
-            index = FastSSIndex.build(Dictionary(words), params)
-            assert np.array_equal(np.repeat(index._keys, np.diff(index._offsets)), keys)
-            assert np.array_equal(index._ids, ids)
-            assert len(index._offsets) == len(index._keys) + 1
+        index = FastSSIndex.build(Dictionary(words), params)
+        assert np.array_equal(np.repeat(index._keys, np.diff(index._offsets)), keys)
+        assert np.array_equal(index._ids, ids)
+        assert len(index._offsets) == len(index._keys) + 1
 
 
 @pytest.mark.parametrize("d, m", [(0, None), (2, None), (2, 1)])

@@ -59,6 +59,20 @@ def test_header_layout_is_stable():
     assert blob[35:37] == b"ab" and len(blob) == 35 + 2 + 12 * 3 + 4 * 3
 
 
+@pytest.mark.parametrize("d, m, field", [(256, None, "u8"), (1, 0xFFFFFFFF, "u32")])
+def test_params_beyond_the_header_fields_are_not_written(d, m, field):
+    # d is one byte and m four, with 0xFFFFFFFF kept for "never split".
+    idx = FastSSIndex.build(Dictionary(["ab"]), IndexParams(d, m))
+    with pytest.raises(ValueError, match=field):
+        idx.to_bytes()
+
+
+@pytest.mark.parametrize("d, m", [(255, None), (1, 0xFFFFFFFE)])
+def test_params_at_the_header_field_limits_round_trip(d, m):
+    idx = FastSSIndex.build(Dictionary(["ab"]), IndexParams(d, m))
+    assert FastSSIndex.from_bytes(idx.to_bytes()) == idx
+
+
 def test_from_bytes_accepts_any_bytes_like(tmp_path):
     idx = FastSSIndex.build(Dictionary(["münchen", "köln", "øre"]), IndexParams(2, 4))
     blob = idx.to_bytes()
