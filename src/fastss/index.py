@@ -16,9 +16,9 @@ The posting table is three flat, read-only numpy arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
 ascending order. A build hashes every word's distinct keys in one numpy
 pass per word length, straight from the code points, and makes one sort
-of the (key, word id) pairs by key, then id; a query enumerates its keys
-with the scalar ``residual_keys`` and looks them all up with one binary
-search.
+of the (key, word id) pairs by key, then id; a query hashes its keys by
+the same deletion layout with the scalar walker ``residual_keys`` and
+looks them all up with one binary search.
 ``candidates`` returns the ids as one ascending array, and ``search``
 keeps them in it up to the match list, so no Python code runs once per
 candidate: only a match becomes a Python object, a plain ``(word_id,

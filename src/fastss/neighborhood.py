@@ -8,10 +8,12 @@ hash of a tag byte followed by its Unicode code points, one FNV step per
 character. The tag byte keeps keys of whole words, prefix halves and
 suffix halves in disjoint key spaces.
 
-``residual_keys`` computes those hashes for one word in one pass, without
-building residual strings; queries use it. ``residual_key_pairs`` runs the
-same recurrence over a whole dictionary in one numpy pass per word length;
-index builds use it. ``full_neighborhood`` enumerates the residual strings
+A state is one set of deleted positions. One layout, ``_deletion_sources``,
+orders the states of a word length and says how each character extends
+them, and two walkers hash by it without building residual strings:
+``residual_keys`` is the scalar one, for one query, and
+``residual_key_pairs`` the numpy one, for every word of a length at once
+in an index build. ``full_neighborhood`` enumerates the residual strings
 themselves and is the reference both are tested against. The hash is part
 of the index file format and must stay bit-stable.
 """
@@ -19,6 +21,7 @@ of the index file format and must stay bit-stable.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
@@ -69,35 +72,22 @@ def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     character. Deterministic and bit-stable; index files depend on it.
     Raises UnicodeEncodeError for a word with a lone surrogate.
 
-    Computed in one pass over the word, without building residual strings.
-    ``h`` is the hash state of the prefix read so far, and ``deleted[j - 1]``
-    holds the states of that prefix's residuals with ``j`` deletions. Each
-    character advances every state by its code point (the character kept),
-    and the states with ``j`` deletions also take those with ``j - 1`` from
-    before the character (the character deleted). Prefixes with equal
-    states hash every continuation alike, so merging them loses no key: the
-    result is exactly the set of hashes of ``full_neighborhood(word,
-    max_deletions)``.
+    The scalar walker of the ``_deletion_sources`` layout: ``states`` holds
+    one hash state per set of deleted positions of the prefix read so far.
+    Each character advances every state by its code point (the character
+    kept) and appends, from before that step, copies of the states with
+    deletions to spare (the character deleted). Distinct sets can leave
+    equal residuals, so the result is the set of the final states:
+    exactly the hashes of ``full_neighborhood(word, max_deletions)``.
     """
     if max_deletions < 0:
         raise ValueError("max_deletions must be non-negative")
     word.encode("utf-32-le")  # as the build does: a lone surrogate raises
     prime, mask = _FNV_PRIME, _MASK64
-    h = ((_FNV_OFFSET ^ tag) * prime) & mask
-    deleted: list[set[int]] = []
-    for point in map(ord, word):
-        if len(deleted) < max_deletions:
-            deleted.append(set())
-        # Highest level first, so that the level below is still the old one.
-        for j in range(len(deleted) - 1, -1, -1):
-            states = {((s ^ point) * prime) & mask for s in deleted[j]}
-            if j:
-                states |= deleted[j - 1]
-            else:
-                states.add(h)
-            deleted[j] = states
-        h = ((h ^ point) * prime) & mask
-    return set().union((h,), *deleted)
+    states = [((_FNV_OFFSET ^ tag) * prime) & mask]
+    for point, source in zip(map(ord, word), _deletion_sources(len(word), max_deletions)):
+        states = [((s ^ point) * prime) & mask for s in states] + [states[j] for j in source]
+    return set(states)
 
 
 Part = tuple[int, int, int, HalfTag]
@@ -118,13 +108,14 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     word length, shortest first, ascending ids within a length; each word's
     keys ascend.
 
-    The words of one length are hashed in one numpy pass, as one matrix
-    with one row per word and one column per set of deleted positions, so
-    that nothing needs merging across words. Each character is one numpy
-    step of the ``residual_keys`` recurrence on the whole matrix: the
-    states that delete it are copied from those with deletions to spare,
-    and the states that keep it take one FNV step by its code point.
-    A row's repeated keys are then dropped. The key and id buffers are
+    The numpy walker of the ``_deletion_sources`` layout that
+    ``residual_keys`` runs for one word. The words of one length are
+    hashed in one numpy pass, as one matrix with one row per word and one
+    column per state, so that nothing needs merging across words. Each
+    character is one numpy step on the whole matrix: the states that
+    delete it are copied from those with deletions to spare, and the
+    states that keep it take one FNV step by its code point. A row's
+    repeated keys are then dropped. The key and id buffers are
     allocated once, sized by the states of every word.
     """
     lengths = np.diff(starts) - 1
@@ -165,23 +156,26 @@ def _state_count(length: int, max_deletions: int) -> int:
     return sum(comb(length, k) for k in range(min(length, max_deletions) + 1))
 
 
-def _deletion_sources(length: int, max_deletions: int) -> list[np.ndarray]:
-    """Where the states of a part of ``length`` characters come from. The
-    columns in use before character i hold the states of the prefix read
-    so far; reading character i appends copies of the columns
-    ``sources[i]``, those with deletions to spare, as the states that
-    delete it. The part ends with one column per set of deleted positions."""
+@lru_cache(maxsize=128)
+def _deletion_sources(length: int, max_deletions: int) -> tuple[tuple[int, ...], ...]:
+    """Where the states of a part of ``length`` characters come from, one
+    state per set of at most ``max_deletions`` deleted positions. The
+    states before character i are those of the prefix read so far; reading
+    character i appends copies of the states ``sources[i]``, those with
+    deletions to spare, as the states that delete it. Both walkers read
+    this one layout, so it is cached, and immutable so that neither can
+    change a shared entry."""
     deletions = [0]
     sources = []
     for _ in range(length):
-        source = [column for column, count in enumerate(deletions) if count < max_deletions]
-        sources.append(np.array(source, dtype=np.intp))
+        source = tuple(column for column, count in enumerate(deletions) if count < max_deletions)
+        sources.append(source)
         deletions += [deletions[column] + 1 for column in source]
-    return sources
+    return tuple(sources)
 
 
-def _hash_part(states: np.ndarray, chars: np.ndarray, sources: list[np.ndarray],
-               tag: HalfTag) -> int:
+def _hash_part(states: np.ndarray, chars: np.ndarray,
+               sources: tuple[tuple[int, ...], ...], tag: HalfTag) -> int:
     """Hash the residuals of ``chars`` (code points, one row per word) into
     the first columns of ``states``, laid out by ``sources``; returns how
     many columns they fill."""

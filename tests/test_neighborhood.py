@@ -6,12 +6,15 @@ import pytest
 
 from fastss.bench import bundled_words_path, load_dictionary
 from fastss.distance import full_edit_distance
+from fastss.index import Dictionary, FastSSIndex, IndexParams
 from fastss.neighborhood import (
     HalfTag,
+    _deletion_sources,
+    _state_count,
     full_neighborhood,
     residual_keys,
 )
-from helpers import perturb_word, random_word
+from helpers import perturb_word, random_unique_words, random_word
 
 
 def is_subsequence(short: str, long: str) -> bool:
@@ -161,8 +164,8 @@ def test_residual_keys_rejects_negative_budget():
 def test_residual_keys_match_hashed_neighborhood():
     # The one-pass keys equal FNV-1a over every residual of the enumerator,
     # for every budget 0..4 and tag. Repeated characters in {a,b} words
-    # merge hash states; the last inputs have code points of 2, 3 and 4
-    # UTF-8 bytes.
+    # give repeated states, which the final set collapses; the last inputs
+    # have code points of 2, 3 and 4 UTF-8 bytes.
     words = list(load_dictionary(bundled_words_path()).words[:3000])
     rng = random.Random(8)
     # 20k draws give 4,141 distinct {a,b} words; each is checked once.
@@ -184,6 +187,35 @@ def test_residual_keys_counts():
     # All characters distinct: exactly sum of C(10,k) for k <= 2.
     assert len(residual_keys("abcdefghij", 2, HalfTag.WHOLE)) == 1 + 10 + 45
     assert len(residual_keys("whatever", 0, HalfTag.WHOLE)) == 1
+
+
+def test_deletion_layout_fills_every_state():
+    # residual_key_pairs sizes its key buffer by _state_count and
+    # _hash_part fills it by the layout, so the two counts must agree, or
+    # uninitialised memory would become keys.
+    for length in range(15):
+        for k in range(6):
+            sources = _deletion_sources(length, k)
+            assert 1 + sum(map(len, sources)) == _state_count(length, k), (length, k)
+
+
+def test_deletion_layout_cache_is_safe_to_evict():
+    # Both walkers share the cached layouts. Evicting and recomputing every
+    # entry changes no key of a query or a build, and no entry is mutable.
+    rng = random.Random(9)
+    dictionary = Dictionary(random_unique_words(rng, 300, 1, 14))
+    params = IndexParams(2, 6)
+    before = FastSSIndex.build(dictionary, params)
+    words = ["", "a", "abcdefg", "mississippi", "straße"]
+    recorded = {(w, k): residual_keys(w, k, HalfTag.WHOLE) for w in words for k in range(4)}
+    for length in range(_deletion_sources.cache_info().maxsize + 1):
+        residual_keys("x" * length, 1, HalfTag.WHOLE)
+    assert FastSSIndex.build(dictionary, params) == before
+    assert {(w, k): residual_keys(w, k, HalfTag.WHOLE) for w, k in recorded} == recorded
+    for w, k in recorded:
+        sources = _deletion_sources(len(w), k)
+        assert isinstance(sources, tuple), (w, k)
+        assert all(isinstance(source, tuple) for source in sources), (w, k)
 
 
 def test_shared_residual_filter_soundness():
