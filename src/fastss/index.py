@@ -12,20 +12,21 @@ each, which shrinks the index dramatically, while queries compensate by
 probing several split positions. ``IndexParams.word_parts`` and
 ``IndexParams.query_parts`` are that plan.
 
-The posting table is three flat, read-only numpy arrays: the sorted
+The posting table is three flat, read-only ``uint32`` arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
 ascending order. A build hashes every word's distinct keys in one numpy
-pass per word length, straight from the code points, and makes one sort
-of the (key, word id) pairs by key, then id; a query hashes its keys by
-the same deletion layout with the scalar walker ``residual_keys`` and
-looks them all up with one binary search.
+pass per word length, straight from the code points, into packed
+``key << 32 | id`` pairs, and sorts them once in place, by key, then id;
+a query hashes its keys by the same deletion layout with the scalar
+walker ``residual_keys`` and looks them all up with one binary search.
 ``candidates`` returns the ids as one ascending array, and ``search``
 keeps them in it up to the match list, so no Python code runs once per
 candidate: only a match becomes a Python object, a plain ``(word_id,
 distance)`` tuple; neither build nor search makes a ``str`` of a word.
 The file is a fixed header that gives the size of every section, the
-words as one UTF-8 block, and the same three arrays back to back, so it is
-written and read with one operation per section.
+words as one UTF-8 block, zero padding to a multiple of 4 bytes, and the
+same three arrays back to back, so it is written and read with one
+operation per section.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .distance import lane_distances
-from .neighborhood import HalfTag, Part, residual_key_pairs, residual_keys
+from .neighborhood import ID_HALF, KEY_HALF, HalfTag, Part, residual_key_pairs, residual_keys
 
 __all__ = [
     "Dictionary",
@@ -52,7 +53,7 @@ __all__ = [
 
 UNBOUNDED_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"FSSI"
-_VERSION = 6
+_VERSION = 7
 # magic, version, d, m, words byte length W, key count K, id count N
 _HEADER = struct.Struct("<4sHBIQQQ")
 
@@ -235,10 +236,10 @@ class FastSSIndex:
     """Immutable residual-key index bound to the dictionary it was built
     from. Build once, then query from any number of threads.
 
-    The posting table is three read-only arrays: ``_keys``, the sorted
-    distinct keys (uint64); ``_offsets`` (int64, one more than the keys);
-    and ``_ids`` (uint32), where ``_ids[_offsets[i]:_offsets[i + 1]]`` are
-    the ascending ids of the words that have key ``_keys[i]``.
+    The posting table is three read-only ``uint32`` arrays: ``_keys``, the
+    sorted distinct keys; ``_offsets``, one more than the keys; and
+    ``_ids``, where ``_ids[_offsets[i]:_offsets[i + 1]]`` are the ascending
+    ids of the words that have key ``_keys[i]``.
     """
 
     __slots__ = ("_dictionary", "_params", "_keys", "_offsets", "_ids", "_longest")
@@ -259,20 +260,15 @@ class FastSSIndex:
         """Index every word's residual keys; words longer than the split
         threshold contribute the keys of their two halves instead.
 
-        ``residual_key_pairs`` hashes each word's distinct keys; one sort
-        by (key, id) then lays the pairs out as the posting table."""
-        unsorted, ids = residual_key_pairs(dictionary.codes, dictionary.starts,
-                                           params.word_parts)
-        order = np.lexsort((ids, unsorted))
-        ids = ids[order]
-        keys = unsorted[order]
-        # The unsorted keys are dead: their buffer holds the run-start mask,
-        # with one more start past the end (no buffer for no pairs).
-        starts = unsorted.view(bool)[:len(keys) + 1] if len(keys) else np.ones(1, bool)
-        _run_starts(keys, out=starts[:-1])
-        starts[-1] = True
-        offsets = np.flatnonzero(starts).astype(np.int64, copy=False)
-        return cls(dictionary, params, keys[offsets[:-1]], offsets, ids)
+        ``residual_key_pairs`` hashes each word's distinct keys into packed
+        ``key << 32 | id`` pairs; one sort of them in place orders them by
+        key, then id, and the posting table is read off their halves."""
+        pairs = residual_key_pairs(dictionary.codes, dictionary.starts, params.word_parts)
+        pairs.sort()
+        halves = pairs.view(np.uint32).reshape(-1, 2)
+        keys = halves[:, KEY_HALF]
+        offsets = np.flatnonzero(np.append(_run_starts(keys), True)).astype(np.uint32)
+        return cls(dictionary, params, keys[offsets[:-1]], offsets, halves[:, ID_HALF].copy())
 
     @property
     def dictionary(self) -> Dictionary:
@@ -307,7 +303,7 @@ class FastSSIndex:
         keys: set[int] = set()
         for start, stop, k, tag in self._params.query_parts(len(query)):
             keys |= residual_keys(query[start:stop], k, tag)
-        probes = np.fromiter(keys, dtype=np.uint64, count=len(keys))
+        probes = np.fromiter(keys, dtype=np.uint32, count=len(keys))
         rows = self._keys.searchsorted(probes)
         rows = rows[self._keys.take(rows, mode="clip") == probes]
         ids = np.sort(_runs(self._ids, self._offsets[rows], self._offsets[rows + 1])[0])
@@ -361,10 +357,11 @@ class FastSSIndex:
     # Little-endian. A 35-byte header: magic "FSSI" | version u16 | d u8 |
     # m u32 (0xFFFFFFFF = never split) | words byte length W u64 | distinct
     # key count K u64 | id count N u64. Then the words, UTF-8, joined by
-    # "\n" (W bytes), and the posting table as its three arrays: K strictly
-    # ascending u64 keys, K u32 id counts, and the N word ids as u32,
-    # ascending within each key, in key order. The version names the key
-    # set: it is determined by the words and (d, m).
+    # "\n" (W bytes), 0 to 3 zero bytes, so that the table starts at a
+    # multiple of 4, and the posting table as its three arrays, all u32: K
+    # strictly ascending keys, K + 1 strictly ascending offsets from 0 to N,
+    # and the N word ids, ascending within each key, in key order. The
+    # version names the key set: it is determined by the words and (d, m).
 
     def to_bytes(self) -> bytes:
         d = self._params.max_distance
@@ -376,15 +373,17 @@ class FastSSIndex:
         words = _decode(self._dictionary.codes[:-1]).encode("utf-8")
         header = _HEADER.pack(_MAGIC, _VERSION, d, UNBOUNDED_SENTINEL if m is None else m,
                               len(words), len(self._keys), len(self._ids))
-        return b"".join((header, words, self._keys.astype("<u8"),
-                         np.diff(self._offsets).astype("<u4"), self._ids.astype("<u4")))
+        pad = -(len(header) + len(words)) % 4  # the table starts at a multiple of 4
+        return b"".join((header, words, bytes(pad),
+                         self._keys.astype("<u4"), self._offsets.astype("<u4"),
+                         self._ids.astype("<u4")))
 
     @classmethod
     def from_bytes(cls, data) -> "FastSSIndex":
         """The index that ``to_bytes`` wrote to ``data``, any bytes-like
         object. Raises ``IndexFormatError``, naming a byte, for wrong sizes,
-        keys out of order, a key with no ids, or word ids out of range or
-        order. The keys are not checked against the words."""
+        a non-zero pad byte, keys or offsets out of order, or word ids out
+        of range or order. The keys are not checked against the words."""
         view = memoryview(data).cast("B")
         if view[:4] != _MAGIC:
             raise IndexFormatError(f"bad magic {bytes(view[:4])!r} at byte 0")
@@ -402,9 +401,10 @@ class FastSSIndex:
                 f"invalid parameters in header at byte 6: {exc}") from exc
 
         # The one size check: nothing below allocates more than the data holds.
-        keys_at = _HEADER.size + words_len
-        counts_at = keys_at + 8 * key_count
-        ids_at = counts_at + 4 * key_count
+        pad_at = _HEADER.size + words_len
+        keys_at = pad_at + -pad_at % 4
+        offsets_at = keys_at + 4 * key_count
+        ids_at = offsets_at + 4 * (key_count + 1)
         end = ids_at + 4 * id_count
         if end != len(view):
             raise IndexFormatError(
@@ -412,7 +412,7 @@ class FastSSIndex:
                 f"{len(view)} bytes, the sizes at byte 11 (words), byte 19 (keys) and "
                 f"byte 27 (ids) give {end}")
         try:
-            text = str(view[_HEADER.size:keys_at], "utf-8")
+            text = str(view[_HEADER.size:pad_at], "utf-8")
         except UnicodeDecodeError as exc:
             raise IndexFormatError(
                 f"words not valid UTF-8 at byte {_HEADER.size + exc.start}") from exc
@@ -422,29 +422,36 @@ class FastSSIndex:
             raise IndexFormatError(
                 f"invalid dictionary in the words at byte {_HEADER.size}: {exc}") from exc
 
-        # Copies into native arrays, so queries never read the unaligned file.
-        keys = np.frombuffer(view, "<u8", key_count, keys_at).astype(np.uint64)
-        counts = np.frombuffer(view, "<u4", key_count, counts_at)
-        offsets = np.zeros(key_count + 1, dtype=np.int64)
-        np.cumsum(counts, dtype=np.int64, out=offsets[1:])
+        padding = [at for at in range(pad_at, keys_at) if view[at]]
+        if padding:
+            raise IndexFormatError(f"non-zero pad byte at byte {padding[0]}")
+
+        # Copies into native arrays, so queries never read the file.
+        keys = np.frombuffer(view, "<u4", key_count, keys_at).astype(np.uint32)
+        offsets = np.frombuffer(view, "<u4", key_count + 1, offsets_at).astype(np.uint32)
+        if offsets[0] != 0:
+            raise IndexFormatError(f"the first offset at byte {offsets_at} is {offsets[0]}, not 0")
+        past = np.flatnonzero(offsets > id_count)
+        if past.size:
+            k = int(past[0])
+            raise IndexFormatError(f"offset {k} at byte {offsets_at + 4 * k} runs past "
+                                   f"the {id_count} ids that byte 27 gives")
         if offsets[-1] != id_count:
-            k = int(offsets.searchsorted(id_count, side="right")) - 1  # the first past N
-            where = (f"the id count of key {k} at byte {counts_at + 4 * k} runs past"
-                     if offsets[-1] > id_count
-                     else f"the id counts at byte {counts_at} fall short of")
-            raise IndexFormatError(f"{where} the {id_count} ids that byte 27 gives")
-        empty = np.flatnonzero(counts == 0)
+            raise IndexFormatError(f"the last offset at byte {offsets_at + 4 * key_count} "
+                                   f"falls short of the {id_count} ids that byte 27 gives")
+        # Compared, not subtracted: a uint32 difference would wrap.
+        empty = np.flatnonzero(offsets[1:] <= offsets[:-1])
         if empty.size:
             k = int(empty[0])
-            raise IndexFormatError(f"key {k} has no ids: its id count at byte "
-                                   f"{counts_at + 4 * k} is 0")
+            raise IndexFormatError(f"key {k} has no ids: offset {k + 1} at byte "
+                                   f"{offsets_at + 4 * (k + 1)} is not above the one before")
         ids = np.frombuffer(view, "<u4", id_count, ids_at).astype(np.uint32)
 
         descending = np.flatnonzero(keys[1:] <= keys[:-1])
         if descending.size:
             k = descending[0] + 1
             raise IndexFormatError(
-                f"key {k} not above the previous key at byte {keys_at + 8 * k}")
+                f"key {k} not above the previous key at byte {keys_at + 4 * k}")
         out_of_range = np.flatnonzero(ids >= len(dictionary))
         if out_of_range.size:
             i = out_of_range[0]
@@ -465,8 +472,9 @@ class FastSSIndex:
 def _runs(values: np.ndarray, starts: np.ndarray, stops: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
     """The runs ``values[starts[i]:stops[i]]`` back to back, gathered with
-    one index array, and where each run begins in them."""
-    lengths = stops - starts
+    one index array, and where each run begins in them. The runs may come
+    in any order; the arithmetic is signed, so unsigned bounds do not wrap."""
+    lengths = np.subtract(stops, starts, dtype=np.int64)
     begins = lengths.cumsum() - lengths
     # The j-th value gathered is values[j + shift], where shift is its run's
     # start minus the lengths of the runs before it.
@@ -474,11 +482,10 @@ def _runs(values: np.ndarray, starts: np.ndarray, stops: np.ndarray
     return values[np.arange(len(shifts)) + shifts], begins
 
 
-def _run_starts(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from the one
-    before them: the first of each run of equal values. Written to ``out``
-    if given."""
-    first = np.empty(len(values), dtype=bool) if out is None else out
+    before them: the first of each run of equal values."""
+    first = np.empty(len(values), dtype=bool)
     first[:1] = True
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return first

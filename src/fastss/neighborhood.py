@@ -3,10 +3,12 @@
 A residual of a word is what remains after deleting some character
 positions. Two words within edit distance d always share a residual
 reachable with at most d deletions from each side, so hashed residuals
-make a lossless filter key. Each residual is reduced to a 64-bit FNV-1a
+make a lossless filter key. Each residual is reduced to a 32-bit FNV-1a
 hash of a tag byte followed by its Unicode code points, one FNV step per
 character. The tag byte keeps keys of whole words, prefix halves and
-suffix halves in disjoint key spaces.
+suffix halves in disjoint key spaces. Residuals of different words may
+share a key; such a collision only adds a candidate, which verification
+removes.
 
 A state is one set of deleted positions. One layout, ``_deletion_sources``,
 orders the states of a word length and says how each character extends
@@ -20,6 +22,7 @@ of the index file format and must stay bit-stable.
 
 from __future__ import annotations
 
+import sys
 from enum import IntEnum
 from functools import lru_cache
 from math import comb
@@ -34,10 +37,13 @@ __all__ = [
     "residual_key_pairs",
 ]
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
-_PRIME = np.uint64(_FNV_PRIME)
+_FNV_OFFSET = 0x811C9DC5
+_FNV_PRIME = 0x01000193
+_MASK32 = (1 << 32) - 1
+_PRIME = np.uint32(_FNV_PRIME)
+# A (key, word id) pair is one uint64, key << 32 | id, so that sorting the
+# pairs sorts by key, then id. These are its key and id halves in memory.
+KEY_HALF, ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
 
 class HalfTag(IntEnum):
     """Key-space tag mixed into every residual hash."""
@@ -67,8 +73,8 @@ def full_neighborhood(word: str, max_deletions: int) -> set[str]:
 
 def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     """Hashed keys of the full deletion neighborhood of ``word``: the
-    64-bit FNV-1a hash of the tag byte followed by each residual's code
-    points, one step ``h = (h ^ code point) * prime mod 2**64`` per
+    32-bit FNV-1a hash of the tag byte followed by each residual's code
+    points, one step ``h = (h ^ code point) * prime mod 2**32`` per
     character. Deterministic and bit-stable; index files depend on it.
     Raises UnicodeEncodeError for a word with a lone surrogate.
 
@@ -83,7 +89,7 @@ def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     if max_deletions < 0:
         raise ValueError("max_deletions must be non-negative")
     word.encode("utf-32-le")  # as the build does: a lone surrogate raises
-    prime, mask = _FNV_PRIME, _MASK64
+    prime, mask = _FNV_PRIME, _MASK32
     states = [((_FNV_OFFSET ^ tag) * prime) & mask]
     for point, source in zip(map(ord, word), _deletion_sources(len(word), max_deletions)):
         states = [((s ^ point) * prime) & mask for s in states] + [states[j] for j in source]
@@ -96,17 +102,18 @@ Part = tuple[int, int, int, HalfTag]
 
 
 def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
-                       parts: Callable[[int], Sequence[Part]]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Every word's distinct residual keys, as a ``uint64`` key array and
-    a ``uint32`` word-id array of equal length. Word i is the code points
-    ``codes[starts[i]:starts[i + 1] - 1]``: the words are laid out as in
-    ``Dictionary``, each followed by one separator, which is not read.
+                       parts: Callable[[int], Sequence[Part]]) -> np.ndarray:
+    """Every word's distinct residual keys with its word id, as one
+    ``uint64`` array of packed pairs ``key << 32 | id``; ``KEY_HALF`` and
+    ``ID_HALF`` index its ``uint32`` view by halves. Word i is the code
+    points ``codes[starts[i]:starts[i + 1] - 1]``: the words are laid out
+    as in ``Dictionary``, each followed by one separator, which is not read.
 
     A word of length L contributes the union of ``residual_keys(word[start:
     stop], max_deletions, tag)`` over ``parts(L)``. Pairs come grouped by
     word length, shortest first, ascending ids within a length; each word's
-    keys ascend.
+    keys ascend. Raises ValueError, before allocating anything, if the
+    states of all words reach 2**32, which a packed id could not count.
 
     The numpy walker of the ``_deletion_sources`` layout that
     ``residual_keys`` runs for one word. The words of one length are
@@ -115,8 +122,9 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     character is one numpy step on the whole matrix: the states that
     delete it are copied from those with deletions to spare, and the
     states that keep it take one FNV step by its code point. A row's
-    repeated keys are then dropped. The key and id buffers are
-    allocated once, sized by the states of every word.
+    repeated keys are then dropped. The pair buffer is allocated once,
+    sized by the states of every word, and the keys and ids are written
+    straight into its halves.
     """
     lengths = np.diff(starts) - 1
     # Not np.unique: its first call imports numpy.ma, about 0.5 MB that a
@@ -126,13 +134,16 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     widths = {length: sum(_state_count(stop - start, max_deletions)
                           for start, stop, max_deletions, _ in parts(length))
               for length in groups}
-    keys = np.empty(sum(len(group) * widths[length] for length, group in groups.items()),
-                    dtype=np.uint64)
-    ids = np.empty(len(keys), dtype=np.uint32)
+    total = sum(len(group) * widths[length] for length, group in groups.items())
+    if total >= 1 << 32:
+        raise ValueError(f"the words have {total:,} residual states; 32-bit ids and "
+                         f"offsets count at most {(1 << 32) - 1:,}")
+    pairs = np.empty(total, dtype=np.uint64)
+    halves = pairs.view(np.uint32).reshape(-1, 2)
     filled = 0
     for length, group in groups.items():
         chars = codes[starts[group, None] + np.arange(length)]
-        states = np.empty((len(group), widths[length]), dtype=np.uint64)
+        states = np.empty((len(group), widths[length]), dtype=np.uint32)
         column = 0
         for start, stop, max_deletions, tag in parts(length):
             column += _hash_part(states[:, column:], chars[:, start:stop],
@@ -145,10 +156,10 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
         np.not_equal(states[:, 1:], states[:, :-1], out=keep[:, 1:])
         counts = keep.sum(axis=1)
         end = filled + int(counts.sum())
-        np.compress(keep.ravel(), states.ravel(), out=keys[filled:end])
-        ids[filled:end] = np.repeat(group, counts)
+        np.compress(keep.ravel(), states.ravel(), out=halves[filled:end, KEY_HALF])
+        halves[filled:end, ID_HALF] = np.repeat(group, counts)
         filled = end
-    return keys[:filled], ids[:filled]
+    return pairs[:filled]
 
 
 def _state_count(length: int, max_deletions: int) -> int:
@@ -179,7 +190,7 @@ def _hash_part(states: np.ndarray, chars: np.ndarray,
     """Hash the residuals of ``chars`` (code points, one row per word) into
     the first columns of ``states``, laid out by ``sources``; returns how
     many columns they fill."""
-    states[:, 0] = ((_FNV_OFFSET ^ tag) * _FNV_PRIME) & _MASK64
+    states[:, 0] = ((_FNV_OFFSET ^ tag) * _FNV_PRIME) & _MASK32
     active = 1
     for i, source in enumerate(sources):
         grown = active + len(source)

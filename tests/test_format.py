@@ -1,7 +1,8 @@
 """The index file: pinned writer output, and a reader that names the byte of
 every format error and writes back as they are the blobs it accepts. The
-reader checks sizes, order, id ranges and non-empty keys, not the key set
-the words would give, so a blob edited within those rules still loads."""
+reader checks sizes, padding, order, id ranges and non-empty keys, not the
+key set the words would give, so a blob edited within those rules still
+loads."""
 
 import hashlib
 import struct
@@ -17,39 +18,57 @@ from fastss.index import Dictionary, FastSSIndex, IndexFormatError, IndexParams
 
 class Table(NamedTuple):
     """The posting table of a blob as read by hand from the sizes in its
-    header: where its keys start, and its three arrays."""
+    header: where its padding and its keys start, and its three arrays."""
 
+    pad_at: int
     keys_at: int
     keys: tuple[int, ...]
-    counts: tuple[int, ...]
+    offsets: tuple[int, ...]
     ids: tuple[int, ...]
 
     @property
-    def counts_at(self) -> int:
-        return self.keys_at + 8 * len(self.keys)
+    def offsets_at(self) -> int:
+        return self.keys_at + 4 * len(self.keys)
 
     @property
     def ids_at(self) -> int:
-        return self.counts_at + 4 * len(self.keys)
+        return self.offsets_at + 4 * len(self.offsets)
+
+    @property
+    def counts(self) -> list[int]:
+        return [stop - start for start, stop in zip(self.offsets, self.offsets[1:])]
 
     def first_id_at(self, k: int) -> int:
         """Byte offset of the first id of key k."""
-        return self.ids_at + 4 * sum(self.counts[:k])
+        return self.ids_at + 4 * self.offsets[k]
 
 
 HEADER_SIZE = 35
 SIZE_FIELDS = {"words": 11, "keys": 19, "ids": 27}  # W, K and N, each u64
 
 
+def keys_start(words_len: int) -> int:
+    """The header and the words, padded with zeros to a multiple of 4."""
+    return -(-(HEADER_SIZE + words_len) // 4) * 4
+
+
+def file_length(words_len: int, key_count: int, id_count: int) -> int:
+    """The padded words, then K u32 keys, K + 1 u32 offsets and N u32 ids."""
+    return keys_start(words_len) + 4 * key_count + 4 * (key_count + 1) + 4 * id_count
+
+
 def layout(blob: bytes) -> Table:
     """Read the three sections of the posting table of a blob by hand."""
     words_len, key_count, id_count = struct.unpack_from("<3Q", blob, 11)
-    keys_at = HEADER_SIZE + words_len
-    keys = struct.unpack_from(f"<{key_count}Q", blob, keys_at)
-    counts = struct.unpack_from(f"<{key_count}I", blob, keys_at + 8 * key_count)
-    ids = struct.unpack_from(f"<{id_count}I", blob, keys_at + 12 * key_count)
-    table = Table(keys_at, keys, counts, ids)
-    assert sum(counts) == id_count and table.ids_at + 4 * id_count == len(blob)
+    pad_at = HEADER_SIZE + words_len
+    keys_at = keys_start(words_len)
+    keys = struct.unpack_from(f"<{key_count}I", blob, keys_at)
+    offsets = struct.unpack_from(f"<{key_count + 1}I", blob, keys_at + 4 * key_count)
+    ids = struct.unpack_from(f"<{id_count}I", blob, keys_at + 8 * key_count + 4)
+    table = Table(pad_at, keys_at, keys, offsets, ids)
+    assert blob[pad_at:keys_at] == bytes(keys_at - pad_at)
+    assert offsets[0] == 0 and offsets[-1] == id_count
+    assert file_length(words_len, key_count, id_count) == len(blob)
     return table
 
 
@@ -64,17 +83,18 @@ def shared_key(table: Table) -> int:
 
 
 def test_file_bytes_of_bundled_list_are_pinned():
-    # Each key costs 12 bytes and each id 4, as in every version. The table
-    # section, the last 12K + 4N bytes, hashes to the digest it had in
-    # version 5: no key and no id moved when the header and words changed.
+    # Each key costs 8 bytes and each id 4, plus one offset and 0 to 3 pad
+    # bytes per file. The table section, the last 8K + 4 + 4N bytes, is
+    # pinned on its own, so that a change to the header or the words alone
+    # leaves its digest as it is.
     dictionary = load_dictionary(bundled_words_path())
     for params, length, digest, table_digest in [
-        (IndexParams(2), 9_399_885,
-         "6f37f0dcee0b926770a47ca19f8937d5c4a01556187d6567d4bcfe5810b5c190",
-         "e91c54544c11d65aec1205fa474303c7bad2e19db3d47f9e7da8d6d8e5342fd0"),
-        (IndexParams(3, 7), 4_186_753,
-         "afdb3c8aa4da66037366721d36399189db53a34283426e0a03eefe32ba2c81cb",
-         "6f226686729b7ed41303dc6c5c5bdb1c28de8c1db86fb265beaee7a541077890"),
+        (IndexParams(2), 7_199_744,
+         "1007db538b5036442eae15840c5c40b4f8f4a86d3b246a6fd224cd378a8dc60f",
+         "546458fd4dc101b414160eaaa4aaa00c4eb106a06de5c13c67f2760241805a40"),
+        (IndexParams(3, 7), 3_449_596,
+         "5f99ab040fb1b42bb3f968c5bb1b01b4be6db95e68af784b67a0c172eea54691",
+         "71f4d97cc396968e757d84bcc793b3752fa063032c87f6c84be381d8d2e8e49b"),
     ]:
         blob = FastSSIndex.build(dictionary, params).to_bytes()
         assert len(blob) == length, params
@@ -108,11 +128,11 @@ def test_keys_not_ascending_name_their_byte(change):
     blob = bytearray(small_blob())
     table = layout(blob)
     key0, key1 = table.keys[:2]
-    struct.pack_into("<Q", blob, table.keys_at + 8, key0)
+    struct.pack_into("<I", blob, table.keys_at + 4, key0)
     if change == "swapped":
-        struct.pack_into("<Q", blob, table.keys_at, key1)
+        struct.pack_into("<I", blob, table.keys_at, key1)
     with pytest.raises(IndexFormatError,
-                       match=rf"key 1 not above the previous key at byte {table.keys_at + 8}$"):
+                       match=rf"key 1 not above the previous key at byte {table.keys_at + 4}$"):
         FastSSIndex.from_bytes(bytes(blob))
 
 
@@ -121,9 +141,10 @@ def assert_size_check_fails(field: str, new: int) -> None:
     reject the blob, naming that size's byte and the length it implies."""
     blob = bytearray(small_blob())
     at = SIZE_FIELDS[field]
-    (size,) = struct.unpack_from("<Q", blob, at)
+    sizes = dict(zip(SIZE_FIELDS, struct.unpack_from("<3Q", blob, 11)))
+    sizes[field] = new
     struct.pack_into("<Q", blob, at, new)
-    end = len(blob) + (new - size) * {"words": 1, "keys": 12, "ids": 4}[field]
+    end = file_length(*sizes.values())
     with pytest.raises(IndexFormatError,
                        match=rf"^truncated: the data has {len(blob)} bytes, .*"
                              rf"byte {at} \({field}\).* give {end}$"):
@@ -134,9 +155,12 @@ def assert_size_check_fails(field: str, new: int) -> None:
 @pytest.mark.parametrize("inflate", ["max", "one_more"])
 def test_inflated_size_field_fails_size_check(field, inflate):
     # A size of 2**64 - 1 is rejected from the sizes alone, before the
-    # reader allocates anything for the words or the table.
+    # reader allocates anything for the words or the table. One more word
+    # byte than the padding can take moves the table by 4 bytes.
+    table = layout(small_blob())
     (size,) = struct.unpack_from("<Q", small_blob(), SIZE_FIELDS[field])
-    assert_size_check_fails(field, 2**64 - 1 if inflate == "max" else size + 1)
+    one_more = size + 1 + (table.keys_at - table.pad_at if field == "words" else 0)
+    assert_size_check_fails(field, 2**64 - 1 if inflate == "max" else one_more)
 
 
 @pytest.mark.parametrize("key_count", [2**64 - 1, 2**40])
@@ -150,29 +174,54 @@ def test_key_count_one_too_many_is_truncation():
 
 @pytest.mark.parametrize("count", [0xFFFFFFFF, 2**30])
 def test_inflated_id_count_names_its_byte(count):
-    # The first and the last key: the running sum passes N at the count raised.
+    # The first and the last key: the offset that ends its ids, raised
+    # past N.
     table = layout(small_blob())
     for k in (0, len(table.keys) - 1):
         blob = bytearray(small_blob())
-        at = table.counts_at + 4 * k
+        at = table.offsets_at + 4 * (k + 1)
         struct.pack_into("<I", blob, at, count)
         with pytest.raises(IndexFormatError,
-                           match=rf"^the id count of key {k} at byte {at} runs past "
+                           match=rf"^offset {k + 1} at byte {at} runs past "
                                  rf"the {len(table.ids)} ids that byte 27 gives$"):
             FastSSIndex.from_bytes(bytes(blob))
 
 
 def test_key_without_ids_names_its_byte():
-    # Key 1's ids moved under key 2 keep every size and order the reader
-    # checks, but a probe of key 1 would find nothing.
+    # Key k's ids moved under key k + 1, by setting the offset between them
+    # equal to the one before, keep every size and order the reader checks
+    # but the offsets', and a probe of key k would find nothing.
     blob = bytearray(FastSSIndex.build(Dictionary(["ab", "ba", "abc"]),
                                        IndexParams(1)).to_bytes())
     table = layout(blob)
-    merged = table.ids[table.counts[0]:table.counts[0] + table.counts[1] + table.counts[2]]
-    assert list(merged) == sorted(set(merged))
-    at = table.counts_at + 4
-    struct.pack_into("<2I", blob, at, 0, table.counts[1] + table.counts[2])
-    with pytest.raises(IndexFormatError, match=rf"^key 1 has no ids: .* at byte {at} is 0$"):
+    k = next(k for k in range(len(table.keys) - 1)
+             if sorted(set(merged := table.ids[table.offsets[k]:table.offsets[k + 2]]))
+             == list(merged))
+    at = table.offsets_at + 4 * (k + 1)
+    struct.pack_into("<I", blob, at, table.offsets[k])
+    with pytest.raises(IndexFormatError, match=rf"^key {k} has no ids: offset {k + 1} "
+                                               rf"at byte {at} is not above the one before$"):
+        FastSSIndex.from_bytes(bytes(blob))
+
+
+def test_non_zero_pad_byte_names_its_byte():
+    # The writer pads with zeros only, so a blob it accepts writes back
+    # byte for byte.
+    table = layout(small_blob())  # 35 + 11 bytes, then 2 pad bytes
+    assert table.keys_at - table.pad_at == 2
+    for at in range(table.pad_at, table.keys_at):
+        blob = bytearray(small_blob())
+        blob[at] = 1
+        with pytest.raises(IndexFormatError, match=rf"^non-zero pad byte at byte {at}$"):
+            FastSSIndex.from_bytes(bytes(blob))
+
+
+def test_first_offset_not_zero_names_its_byte():
+    # Ids before the first offset would belong to no key.
+    blob = bytearray(small_blob())
+    at = layout(blob).offsets_at
+    struct.pack_into("<I", blob, at, 1)
+    with pytest.raises(IndexFormatError, match=rf"^the first offset at byte {at} is 1, not 0$"):
         FastSSIndex.from_bytes(bytes(blob))
 
 
@@ -186,13 +235,17 @@ def test_every_format_error_names_a_byte():
     for offset, value, error in [
         (4, b"\x01\x00", "unsupported format version"),
         (7, b"\x00" * 4, "invalid parameters"),           # split threshold 0
-        (11, b"\x0c", "truncated: the data has"),         # W one more
+        (11, b"\x0e", "truncated: the data has"),         # W past the padding
         (36, b"\xff", "not valid UTF-8"),
         (35, b"\n", "empty word"),
         (41, b"c", "duplicate word"),                     # "abc" twice
-        (table.counts_at, b"\xff", "runs past"),          # an id count past N
-        (table.counts_at, b"\x00", "fall short"),         # the counts below N
-        (table.keys_at, b"\xff" * 8, "not above the previous key"),
+        (table.pad_at, b"\x01", "non-zero pad byte"),
+        (table.offsets_at, b"\x01", "the first offset"),  # offset 0 not 0
+        (table.offsets_at + 4, b"\xff", "runs past"),     # offset 1 past N
+        (table.ids_at - 4, b"\x00", "falls short"),       # the last offset below N
+        (table.offsets_at + 8, blob[table.offsets_at + 4:table.offsets_at + 8],
+         "has no ids"),                                  # offset 2 equal to offset 1
+        (table.keys_at, b"\xff" * 4, "not above the previous key"),
         (table.ids_at, b"\x09", "out of range"),
         (table.first_id_at(shared_key(table)) + 4, b"\x00", "not strictly ascending"),
     ]:
@@ -215,7 +268,7 @@ BLOBS = [
 def mutated_blobs(draw) -> bytes:
     """A small valid blob with one byte flipped, cut short, or a u32 or u64
     overwritten with a larger count, at any offset or at a count field: one
-    of the three sizes in the header or an id count."""
+    of the three sizes in the header or a table offset."""
     blob = bytearray(draw(st.sampled_from(BLOBS)))
     table = layout(blob)
     kind = draw(st.sampled_from(["flip", "truncate", "u32", "u64"]))
@@ -226,8 +279,8 @@ def mutated_blobs(draw) -> bytes:
         blob[pos] ^= draw(st.integers(1, 255))
         return bytes(blob)
     size, fmt = (4, "<I") if kind == "u32" else (8, "<Q")
-    counts = list(SIZE_FIELDS.values()) + [table.counts_at + 4 * k
-                                           for k in range(len(table.keys))]
+    counts = list(SIZE_FIELDS.values()) + [table.offsets_at + 4 * k
+                                           for k in range(len(table.offsets))]
     anywhere = st.integers(0, len(blob) - size)
     pos = draw(st.one_of(st.sampled_from([p for p in counts if p <= len(blob) - size]),
                          anywhere))
@@ -242,9 +295,10 @@ def mutated_blobs(draw) -> bytes:
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
 @given(mutated_blobs())
 def test_reader_fuzz_rejects_or_round_trips(blob):
-    # Exact length, keys strictly ascending, every key with ids, ids
-    # ascending and in range: what the reader accepts, it writes back byte
-    # for byte. It does not check the keys against the words.
+    # Exact length, zero padding, keys and offsets strictly ascending from
+    # offset 0 to N, ids ascending and in range: what the reader accepts, it
+    # writes back byte for byte. It does not check the keys against the
+    # words.
     try:
         index = FastSSIndex.from_bytes(blob)
     except IndexFormatError:

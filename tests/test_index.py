@@ -12,6 +12,7 @@ from fastss.index import (
     FastSSIndex,
     IndexParams,
     Match,
+    _runs,
     split_positions,
     split_word,
 )
@@ -193,7 +194,7 @@ def reference_table(words, params):
                          | residual_keys(suffix, d // 2, HalfTag.SUFFIX))
         keys += word_keys
         ids += [word_id] * len(word_keys)
-    keys = np.array(keys, dtype=np.uint64)
+    keys = np.array(keys, dtype=np.uint32)
     ids = np.array(ids, dtype=np.uint32)
     order = np.lexsort((ids, keys))
     return keys[order], ids[order]
@@ -222,6 +223,38 @@ def test_build_matches_per_word_residual_keys(d, m):
         assert np.array_equal(np.repeat(index._keys, np.diff(index._offsets)), keys)
         assert np.array_equal(index._ids, ids)
         assert len(index._offsets) == len(index._keys) + 1
+
+
+def test_build_rejects_more_states_than_32_bits_count():
+    # Packed ids and u32 offsets count fewer than 2**32 pairs. One
+    # 40-character word at d=20 has sum(C(40, k), k <= 20) states; the
+    # build refuses it from that count, before allocating any buffer.
+    with pytest.raises(ValueError, match=r"618,679,078,298 residual states.* 4,294,967,295"):
+        FastSSIndex.build(Dictionary(["a" * 40]), IndexParams(20))
+
+
+def test_colliding_key_adds_a_candidate_that_verification_removes():
+    # 32-bit keys collide: these two words, found by a birthday search,
+    # share their one key at d=0. The query finds the other word as a
+    # candidate, and the search drops it, as the scan does.
+    dictionary = Dictionary(["tsdqlp"])
+    assert (residual_keys("tsdqlp", 0, HalfTag.WHOLE) == residual_keys("uqvmoj", 0, HalfTag.WHOLE)
+            == {0x912742F1})
+    idx = FastSSIndex.build(dictionary, IndexParams(0))
+    assert idx.candidates("uqvmoj").tolist() == [0]
+    assert idx.search("uqvmoj") == [] == NaiveScanner(dictionary).scan("uqvmoj", 0)
+
+
+def test_runs_gathers_unsigned_bounds_in_any_order():
+    # candidates passes uint32 offsets in probe order, not ascending; a
+    # run that starts before the runs gathered ahead of it must not wrap.
+    values = np.arange(100, 130)
+    starts = np.array([20, 11, 7, 7, 0], dtype=np.uint32)
+    stops = np.array([25, 13, 7, 10, 2], dtype=np.uint32)
+    gathered, begins = _runs(values, starts, stops)
+    expected = [v for a, b in zip(starts.tolist(), stops.tolist()) for v in range(100 + a, 100 + b)]
+    assert gathered.tolist() == expected
+    assert begins.tolist() == [0, 5, 7, 7, 10]
 
 
 @pytest.mark.parametrize("d, m", [(0, None), (2, None), (2, 1)])

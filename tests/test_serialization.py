@@ -50,13 +50,16 @@ def test_round_trip_unicode_words():
 
 
 def test_header_layout_is_stable():
-    # "ab" at d=1 has the residuals "ab", "a" and "b": three keys, one id each.
+    # "ab" at d=1 has the residuals "ab", "a" and "b": three keys, one id
+    # each. The words end at byte 37, and 3 zero bytes pad them to 40.
     idx = FastSSIndex.build(Dictionary(["ab"]), IndexParams(1))
     blob = idx.to_bytes()
     assert blob[:4] == b"FSSI"
     fields = struct.unpack_from("<HBIQQQ", blob, 4)
-    assert fields == (6, 1, 0xFFFFFFFF, 2, 3, 3)
-    assert blob[35:37] == b"ab" and len(blob) == 35 + 2 + 12 * 3 + 4 * 3
+    assert fields == (7, 1, 0xFFFFFFFF, 2, 3, 3)
+    pad = 3
+    assert blob[35:37] == b"ab" and blob[37:40] == bytes(pad)
+    assert len(blob) == 35 + 2 + pad + 4 * 3 + 4 * 4 + 4 * 3
 
 
 @pytest.mark.parametrize("d, m, field", [(256, None, "u8"), (1, 0xFFFFFFFF, "u32")])
@@ -93,11 +96,11 @@ def test_corrupted_magic_rejected():
         FastSSIndex.from_bytes(bytes(blob))
 
 
-# Version 5 of an empty dictionary: 23 bytes, shorter than a version 6 header.
+# Version 5 of an empty dictionary: 23 bytes, shorter than today's header.
 V5_EMPTY = b"FSSI" + struct.pack("<HBIIQ", 5, 1, 0xFFFFFFFF, 0, 0)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
 def test_unsupported_version_rejected(version):
     blob = bytearray(FastSSIndex.build(Dictionary(["ab"]), IndexParams(1)).to_bytes())
     short = bytearray(V5_EMPTY)
