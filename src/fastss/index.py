@@ -23,10 +23,10 @@ walker ``residual_keys`` and looks them all up with one binary search.
 keeps them in it up to the match list, so no Python code runs once per
 candidate: only a match becomes a Python object, a plain ``(word_id,
 distance)`` tuple; neither build nor search makes a ``str`` of a word.
-The file is a fixed header that gives the size of every section, the
-words as one UTF-8 block, zero padding to a multiple of 4 bytes, and the
-same three arrays back to back, so it is written and read with one
-operation per section.
+The file is a fixed 36-byte header that gives the size of every section,
+the same three arrays back to back, so that each starts at a multiple of
+4 bytes, and the words last, as one UTF-8 block: it is written and read
+with one operation per section.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .distance import lane_distances
-from .neighborhood import ID_HALF, KEY_HALF, HalfTag, Part, residual_key_pairs, residual_keys
+from .neighborhood import HalfTag, Part, residual_key_pairs, residual_keys
 
 __all__ = [
     "Dictionary",
@@ -54,8 +54,9 @@ __all__ = [
 UNBOUNDED_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"FSSI"
 _VERSION = 7
-# magic, version, d, m, words byte length W, key count K, id count N
-_HEADER = struct.Struct("<4sHBIQQQ")
+# magic, version, d, m, words byte length W, key count K, id count N and
+# one reserved zero byte, so that the table starts at byte 36
+_HEADER = struct.Struct("<4sHBIQQQB")
 
 
 class Dictionary:
@@ -260,15 +261,11 @@ class FastSSIndex:
         """Index every word's residual keys; words longer than the split
         threshold contribute the keys of their two halves instead.
 
-        ``residual_key_pairs`` hashes each word's distinct keys into packed
-        ``key << 32 | id`` pairs; one sort of them in place orders them by
-        key, then id, and the posting table is read off their halves."""
-        pairs = residual_key_pairs(dictionary.codes, dictionary.starts, params.word_parts)
-        pairs.sort()
-        halves = pairs.view(np.uint32).reshape(-1, 2)
-        keys = halves[:, KEY_HALF]
+        ``residual_key_pairs`` gives each word's distinct keys with its id,
+        sorted by key, then id; the posting table is read off them."""
+        keys, ids = residual_key_pairs(dictionary.codes, dictionary.starts, params.word_parts)
         offsets = np.flatnonzero(np.append(_run_starts(keys), True)).astype(np.uint32)
-        return cls(dictionary, params, keys[offsets[:-1]], offsets, halves[:, ID_HALF].copy())
+        return cls(dictionary, params, keys[offsets[:-1]], offsets, ids.copy())
 
     @property
     def dictionary(self) -> Dictionary:
@@ -354,14 +351,14 @@ class FastSSIndex:
 
     # -- on-disk format ----------------------------------------------------
     #
-    # Little-endian. A 35-byte header: magic "FSSI" | version u16 | d u8 |
+    # Little-endian. A 36-byte header: magic "FSSI" | version u16 | d u8 |
     # m u32 (0xFFFFFFFF = never split) | words byte length W u64 | distinct
-    # key count K u64 | id count N u64. Then the words, UTF-8, joined by
-    # "\n" (W bytes), 0 to 3 zero bytes, so that the table starts at a
-    # multiple of 4, and the posting table as its three arrays, all u32: K
-    # strictly ascending keys, K + 1 strictly ascending offsets from 0 to N,
-    # and the N word ids, ascending within each key, in key order. The
-    # version names the key set: it is determined by the words and (d, m).
+    # key count K u64 | id count N u64 | a reserved zero byte. Then the
+    # posting table as its three arrays, all u32, each at a multiple of 4:
+    # K strictly ascending keys, K + 1 strictly ascending offsets from 0 to
+    # N, and the N word ids, ascending within each key, in key order. Last,
+    # the words, UTF-8, joined by "\n" (W bytes). The version names the
+    # key set: it is determined by the words and (d, m).
 
     def to_bytes(self) -> bytes:
         d = self._params.max_distance
@@ -372,18 +369,16 @@ class FastSSIndex:
             raise ValueError("split_threshold does not fit the file format (u32)")
         words = _decode(self._dictionary.codes[:-1]).encode("utf-8")
         header = _HEADER.pack(_MAGIC, _VERSION, d, UNBOUNDED_SENTINEL if m is None else m,
-                              len(words), len(self._keys), len(self._ids))
-        pad = -(len(header) + len(words)) % 4  # the table starts at a multiple of 4
-        return b"".join((header, words, bytes(pad),
-                         self._keys.astype("<u4"), self._offsets.astype("<u4"),
-                         self._ids.astype("<u4")))
+                              len(words), len(self._keys), len(self._ids), 0)
+        return b"".join((header, self._keys.astype("<u4"), self._offsets.astype("<u4"),
+                         self._ids.astype("<u4"), words))
 
     @classmethod
     def from_bytes(cls, data) -> "FastSSIndex":
         """The index that ``to_bytes`` wrote to ``data``, any bytes-like
         object. Raises ``IndexFormatError``, naming a byte, for wrong sizes,
-        a non-zero pad byte, keys or offsets out of order, or word ids out
-        of range or order. The keys are not checked against the words."""
+        a non-zero reserved byte, keys or offsets out of order, or word ids
+        out of range or order. The keys are not checked against the words."""
         view = memoryview(data).cast("B")
         if view[:4] != _MAGIC:
             raise IndexFormatError(f"bad magic {bytes(view[:4])!r} at byte 0")
@@ -392,7 +387,7 @@ class FastSSIndex:
             raise IndexFormatError(f"unsupported format version {version} at byte 4")
         if len(view) < _HEADER.size:
             raise IndexFormatError(f"truncated header: the data ends at byte {len(view)}")
-        _, _, d, m_raw, words_len, key_count, id_count = _HEADER.unpack_from(view)
+        _, _, d, m_raw, words_len, key_count, id_count, reserved = _HEADER.unpack_from(view)
         m = None if m_raw == UNBOUNDED_SENTINEL else m_raw
         try:
             params = IndexParams(d, m)
@@ -400,31 +395,31 @@ class FastSSIndex:
             raise IndexFormatError(
                 f"invalid parameters in header at byte 6: {exc}") from exc
 
+        if reserved:
+            raise IndexFormatError(
+                f"the reserved byte at byte {_HEADER.size - 1} is {reserved}, not 0")
+
         # The one size check: nothing below allocates more than the data holds.
-        pad_at = _HEADER.size + words_len
-        keys_at = pad_at + -pad_at % 4
+        keys_at = _HEADER.size
         offsets_at = keys_at + 4 * key_count
         ids_at = offsets_at + 4 * (key_count + 1)
-        end = ids_at + 4 * id_count
+        words_at = ids_at + 4 * id_count
+        end = words_at + words_len
         if end != len(view):
             raise IndexFormatError(
                 f"{'truncated' if end > len(view) else 'trailing bytes'}: the data has "
                 f"{len(view)} bytes, the sizes at byte 11 (words), byte 19 (keys) and "
                 f"byte 27 (ids) give {end}")
         try:
-            text = str(view[_HEADER.size:pad_at], "utf-8")
+            text = str(view[words_at:], "utf-8")
         except UnicodeDecodeError as exc:
             raise IndexFormatError(
-                f"words not valid UTF-8 at byte {_HEADER.size + exc.start}") from exc
+                f"words not valid UTF-8 at byte {words_at + exc.start}") from exc
         try:
             dictionary = Dictionary(text.split("\n") if text else [])
         except ValueError as exc:
             raise IndexFormatError(
-                f"invalid dictionary in the words at byte {_HEADER.size}: {exc}") from exc
-
-        padding = [at for at in range(pad_at, keys_at) if view[at]]
-        if padding:
-            raise IndexFormatError(f"non-zero pad byte at byte {padding[0]}")
+                f"invalid dictionary in the words at byte {words_at}: {exc}") from exc
 
         # Copies into native arrays, so queries never read the file.
         keys = np.frombuffer(view, "<u4", key_count, keys_at).astype(np.uint32)

@@ -41,9 +41,10 @@ _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
 _MASK32 = (1 << 32) - 1
 _PRIME = np.uint32(_FNV_PRIME)
-# A (key, word id) pair is one uint64, key << 32 | id, so that sorting the
-# pairs sorts by key, then id. These are its key and id halves in memory.
-KEY_HALF, ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
+# A build packs each (key, word id) pair into one uint64, key << 32 | id,
+# so that sorting the pairs sorts by key, then id. These are its key and id
+# halves in memory.
+_KEY_HALF, _ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
 
 class HalfTag(IntEnum):
     """Key-space tag mixed into every residual hash."""
@@ -102,18 +103,18 @@ Part = tuple[int, int, int, HalfTag]
 
 
 def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
-                       parts: Callable[[int], Sequence[Part]]) -> np.ndarray:
-    """Every word's distinct residual keys with its word id, as one
-    ``uint64`` array of packed pairs ``key << 32 | id``; ``KEY_HALF`` and
-    ``ID_HALF`` index its ``uint32`` view by halves. Word i is the code
-    points ``codes[starts[i]:starts[i + 1] - 1]``: the words are laid out
-    as in ``Dictionary``, each followed by one separator, which is not read.
+                       parts: Callable[[int], Sequence[Part]]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Every word's distinct residual keys with its word id, as two
+    ``uint32`` arrays ``(keys, ids)``, the pairs sorted by key, then id.
+    Word i is the code points ``codes[starts[i]:starts[i + 1] - 1]``: the
+    words are laid out as in ``Dictionary``, each followed by one
+    separator, which is not read.
 
     A word of length L contributes the union of ``residual_keys(word[start:
-    stop], max_deletions, tag)`` over ``parts(L)``. Pairs come grouped by
-    word length, shortest first, ascending ids within a length; each word's
-    keys ascend. Raises ValueError, before allocating anything, if the
-    states of all words reach 2**32, which a packed id could not count.
+    stop], max_deletions, tag)`` over ``parts(L)``. Raises ValueError,
+    before allocating anything, if the states of all words reach 2**32,
+    which a 32-bit id could not count.
 
     The numpy walker of the ``_deletion_sources`` layout that
     ``residual_keys`` runs for one word. The words of one length are
@@ -123,8 +124,10 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     delete it are copied from those with deletions to spare, and the
     states that keep it take one FNV step by its code point. A row's
     repeated keys are then dropped. The pair buffer is allocated once,
-    sized by the states of every word, and the keys and ids are written
-    straight into its halves.
+    sized by the states of every word, as one packed ``key << 32 | id``
+    ``uint64`` per pair; the keys and ids are written straight into its
+    halves, and one sort in place orders the pairs. The two arrays
+    returned are strided views of those halves.
     """
     lengths = np.diff(starts) - 1
     # Not np.unique: its first call imports numpy.ma, about 0.5 MB that a
@@ -156,10 +159,11 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
         np.not_equal(states[:, 1:], states[:, :-1], out=keep[:, 1:])
         counts = keep.sum(axis=1)
         end = filled + int(counts.sum())
-        np.compress(keep.ravel(), states.ravel(), out=halves[filled:end, KEY_HALF])
-        halves[filled:end, ID_HALF] = np.repeat(group, counts)
+        np.compress(keep.ravel(), states.ravel(), out=halves[filled:end, _KEY_HALF])
+        halves[filled:end, _ID_HALF] = np.repeat(group, counts)
         filled = end
-    return pairs[:filled]
+    pairs[:filled].sort()
+    return halves[:filled, _KEY_HALF], halves[:filled, _ID_HALF]
 
 
 def _state_count(length: int, max_deletions: int) -> int:

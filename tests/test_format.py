@@ -1,8 +1,7 @@
 """The index file: pinned writer output, and a reader that names the byte of
 every format error and writes back as they are the blobs it accepts. The
-reader checks sizes, padding, order, id ranges and non-empty keys, not the
-key set the words would give, so a blob edited within those rules still
-loads."""
+reader checks sizes, order, id ranges and non-empty keys, not the key set
+the words would give, so a blob edited within those rules still loads."""
 
 import hashlib
 import struct
@@ -18,13 +17,13 @@ from fastss.index import Dictionary, FastSSIndex, IndexFormatError, IndexParams
 
 class Table(NamedTuple):
     """The posting table of a blob as read by hand from the sizes in its
-    header: where its padding and its keys start, and its three arrays."""
+    header: its three arrays, from byte 36 on, and where the words start."""
 
-    pad_at: int
-    keys_at: int
     keys: tuple[int, ...]
     offsets: tuple[int, ...]
     ids: tuple[int, ...]
+
+    keys_at = 36
 
     @property
     def offsets_at(self) -> int:
@@ -35,6 +34,10 @@ class Table(NamedTuple):
         return self.offsets_at + 4 * len(self.offsets)
 
     @property
+    def words_at(self) -> int:
+        return self.ids_at + 4 * len(self.ids)
+
+    @property
     def counts(self) -> list[int]:
         return [stop - start for start, stop in zip(self.offsets, self.offsets[1:])]
 
@@ -43,32 +46,18 @@ class Table(NamedTuple):
         return self.ids_at + 4 * self.offsets[k]
 
 
-HEADER_SIZE = 35
 SIZE_FIELDS = {"words": 11, "keys": 19, "ids": 27}  # W, K and N, each u64
-
-
-def keys_start(words_len: int) -> int:
-    """The header and the words, padded with zeros to a multiple of 4."""
-    return -(-(HEADER_SIZE + words_len) // 4) * 4
-
-
-def file_length(words_len: int, key_count: int, id_count: int) -> int:
-    """The padded words, then K u32 keys, K + 1 u32 offsets and N u32 ids."""
-    return keys_start(words_len) + 4 * key_count + 4 * (key_count + 1) + 4 * id_count
 
 
 def layout(blob: bytes) -> Table:
     """Read the three sections of the posting table of a blob by hand."""
     words_len, key_count, id_count = struct.unpack_from("<3Q", blob, 11)
-    pad_at = HEADER_SIZE + words_len
-    keys_at = keys_start(words_len)
-    keys = struct.unpack_from(f"<{key_count}I", blob, keys_at)
-    offsets = struct.unpack_from(f"<{key_count + 1}I", blob, keys_at + 4 * key_count)
-    ids = struct.unpack_from(f"<{id_count}I", blob, keys_at + 8 * key_count + 4)
-    table = Table(pad_at, keys_at, keys, offsets, ids)
-    assert blob[pad_at:keys_at] == bytes(keys_at - pad_at)
+    keys = struct.unpack_from(f"<{key_count}I", blob, Table.keys_at)
+    offsets = struct.unpack_from(f"<{key_count + 1}I", blob, Table.keys_at + 4 * key_count)
+    ids = struct.unpack_from(f"<{id_count}I", blob, Table.keys_at + 8 * key_count + 4)
+    table = Table(keys, offsets, ids)
     assert offsets[0] == 0 and offsets[-1] == id_count
-    assert file_length(words_len, key_count, id_count) == len(blob)
+    assert table.words_at + words_len == len(blob)
     return table
 
 
@@ -83,23 +72,23 @@ def shared_key(table: Table) -> int:
 
 
 def test_file_bytes_of_bundled_list_are_pinned():
-    # Each key costs 8 bytes and each id 4, plus one offset and 0 to 3 pad
-    # bytes per file. The table section, the last 8K + 4 + 4N bytes, is
-    # pinned on its own, so that a change to the header or the words alone
-    # leaves its digest as it is.
+    # Each key costs 8 bytes and each id 4, plus one offset per file. The
+    # table section, the 8K + 4 + 4N bytes from byte 36, is pinned on its
+    # own, so that a change to the header or the words alone leaves its
+    # digest as it is.
     dictionary = load_dictionary(bundled_words_path())
     for params, length, digest, table_digest in [
-        (IndexParams(2), 7_199_744,
-         "1007db538b5036442eae15840c5c40b4f8f4a86d3b246a6fd224cd378a8dc60f",
+        (IndexParams(2), 7_199_742,
+         "84344db8e0aaa2e9b5810fc68e568d83352bb64a19ea1a0e09629141dba319bd",
          "546458fd4dc101b414160eaaa4aaa00c4eb106a06de5c13c67f2760241805a40"),
-        (IndexParams(3, 7), 3_449_596,
-         "5f99ab040fb1b42bb3f968c5bb1b01b4be6db95e68af784b67a0c172eea54691",
+        (IndexParams(3, 7), 3_449_594,
+         "7776ec8bd1aead2988634b988bdfbc10bd411c4ea1c41c22aea53d75da306443",
          "71f4d97cc396968e757d84bcc793b3752fa063032c87f6c84be381d8d2e8e49b"),
     ]:
         blob = FastSSIndex.build(dictionary, params).to_bytes()
         assert len(blob) == length, params
         assert hashlib.sha256(blob).hexdigest() == digest, params
-        table = hashlib.sha256(blob[layout(blob).keys_at:]).hexdigest()
+        table = hashlib.sha256(blob[Table.keys_at:layout(blob).words_at]).hexdigest()
         assert table == table_digest, params
 
 
@@ -141,10 +130,9 @@ def assert_size_check_fails(field: str, new: int) -> None:
     reject the blob, naming that size's byte and the length it implies."""
     blob = bytearray(small_blob())
     at = SIZE_FIELDS[field]
-    sizes = dict(zip(SIZE_FIELDS, struct.unpack_from("<3Q", blob, 11)))
-    sizes[field] = new
+    (size,) = struct.unpack_from("<Q", blob, at)
     struct.pack_into("<Q", blob, at, new)
-    end = file_length(*sizes.values())
+    end = len(blob) + (new - size) * {"words": 1, "keys": 8, "ids": 4}[field]
     with pytest.raises(IndexFormatError,
                        match=rf"^truncated: the data has {len(blob)} bytes, .*"
                              rf"byte {at} \({field}\).* give {end}$"):
@@ -155,12 +143,9 @@ def assert_size_check_fails(field: str, new: int) -> None:
 @pytest.mark.parametrize("inflate", ["max", "one_more"])
 def test_inflated_size_field_fails_size_check(field, inflate):
     # A size of 2**64 - 1 is rejected from the sizes alone, before the
-    # reader allocates anything for the words or the table. One more word
-    # byte than the padding can take moves the table by 4 bytes.
-    table = layout(small_blob())
+    # reader allocates anything for the words or the table.
     (size,) = struct.unpack_from("<Q", small_blob(), SIZE_FIELDS[field])
-    one_more = size + 1 + (table.keys_at - table.pad_at if field == "words" else 0)
-    assert_size_check_fails(field, 2**64 - 1 if inflate == "max" else one_more)
+    assert_size_check_fails(field, 2**64 - 1 if inflate == "max" else size + 1)
 
 
 @pytest.mark.parametrize("key_count", [2**64 - 1, 2**40])
@@ -204,16 +189,13 @@ def test_key_without_ids_names_its_byte():
         FastSSIndex.from_bytes(bytes(blob))
 
 
-def test_non_zero_pad_byte_names_its_byte():
-    # The writer pads with zeros only, so a blob it accepts writes back
-    # byte for byte.
-    table = layout(small_blob())  # 35 + 11 bytes, then 2 pad bytes
-    assert table.keys_at - table.pad_at == 2
-    for at in range(table.pad_at, table.keys_at):
-        blob = bytearray(small_blob())
-        blob[at] = 1
-        with pytest.raises(IndexFormatError, match=rf"^non-zero pad byte at byte {at}$"):
-            FastSSIndex.from_bytes(bytes(blob))
+def test_non_zero_reserved_byte_names_its_byte():
+    # The writer sets the last header byte to zero, so a blob it accepts
+    # writes back byte for byte.
+    blob = bytearray(small_blob())
+    blob[35] = 1
+    with pytest.raises(IndexFormatError, match=r"^the reserved byte at byte 35 is 1, not 0$"):
+        FastSSIndex.from_bytes(bytes(blob))
 
 
 def test_first_offset_not_zero_names_its_byte():
@@ -227,19 +209,20 @@ def test_first_offset_not_zero_names_its_byte():
 
 def test_every_format_error_names_a_byte():
     # One blob per kind of damage, each reaching a different check.
-    blob = small_blob()  # words "abc\nabd\nxyz" from byte 35
+    blob = small_blob()  # words "abc\nabd\nxyz", last
     table = layout(blob)
+    words_at = table.words_at
     damaged = [(blob[:3], "bad magic"), (b"XXXX" + blob[4:], "bad magic"),
                (blob[:20], "truncated header"), (blob + b"\x00", "trailing bytes"),
                (blob[:-1], "truncated: the data has")]
     for offset, value, error in [
         (4, b"\x01\x00", "unsupported format version"),
         (7, b"\x00" * 4, "invalid parameters"),           # split threshold 0
-        (11, b"\x0e", "truncated: the data has"),         # W past the padding
-        (36, b"\xff", "not valid UTF-8"),
-        (35, b"\n", "empty word"),
-        (41, b"c", "duplicate word"),                     # "abc" twice
-        (table.pad_at, b"\x01", "non-zero pad byte"),
+        (11, b"\x0c", "truncated: the data has"),         # W one more
+        (35, b"\x01", "the reserved byte"),
+        (words_at + 1, b"\xff", "not valid UTF-8"),
+        (words_at, b"\n", "empty word"),
+        (words_at + 6, b"c", "duplicate word"),           # "abc" twice
         (table.offsets_at, b"\x01", "the first offset"),  # offset 0 not 0
         (table.offsets_at + 4, b"\xff", "runs past"),     # offset 1 past N
         (table.ids_at - 4, b"\x00", "falls short"),       # the last offset below N
@@ -295,10 +278,10 @@ def mutated_blobs(draw) -> bytes:
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
 @given(mutated_blobs())
 def test_reader_fuzz_rejects_or_round_trips(blob):
-    # Exact length, zero padding, keys and offsets strictly ascending from
-    # offset 0 to N, ids ascending and in range: what the reader accepts, it
-    # writes back byte for byte. It does not check the keys against the
-    # words.
+    # Exact length, a zero reserved byte, keys and offsets strictly
+    # ascending from offset 0 to N, ids ascending and in range: what the
+    # reader accepts, it writes back byte for byte. It does not check the
+    # keys against the words.
     try:
         index = FastSSIndex.from_bytes(blob)
     except IndexFormatError:

@@ -51,15 +51,14 @@ def test_round_trip_unicode_words():
 
 def test_header_layout_is_stable():
     # "ab" at d=1 has the residuals "ab", "a" and "b": three keys, one id
-    # each. The words end at byte 37, and 3 zero bytes pad them to 40.
+    # each. The table starts at byte 36, after the reserved zero byte, and
+    # the words come last.
     idx = FastSSIndex.build(Dictionary(["ab"]), IndexParams(1))
     blob = idx.to_bytes()
     assert blob[:4] == b"FSSI"
-    fields = struct.unpack_from("<HBIQQQ", blob, 4)
-    assert fields == (7, 1, 0xFFFFFFFF, 2, 3, 3)
-    pad = 3
-    assert blob[35:37] == b"ab" and blob[37:40] == bytes(pad)
-    assert len(blob) == 35 + 2 + pad + 4 * 3 + 4 * 4 + 4 * 3
+    fields = struct.unpack_from("<HBIQQQB", blob, 4)
+    assert fields == (7, 1, 0xFFFFFFFF, 2, 3, 3, 0)
+    assert blob[-2:] == b"ab" and len(blob) == 36 + 4 * 3 + 4 * 4 + 4 * 3 + 2
 
 
 @pytest.mark.parametrize("d, m, field", [(256, None, "u8"), (1, 0xFFFFFFFF, "u32")])
