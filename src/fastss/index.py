@@ -14,19 +14,19 @@ probing several split positions. ``IndexParams.word_parts`` and
 
 The posting table is three flat, read-only ``uint32`` arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
-ascending order. A build hashes every word's distinct keys in one numpy
-pass per word length, straight from the code points, into packed
-``key << 32 | id`` pairs, and sorts them once in place, by key, then id;
-a query hashes its keys by the same deletion layout with the scalar
-walker ``residual_keys`` and looks them all up with one binary search.
-``candidates`` returns the ids as one ascending array, and ``search``
-keeps them in it up to the match list, so no Python code runs once per
-candidate: only a match becomes a Python object, a plain ``(word_id,
-distance)`` tuple; neither build nor search makes a ``str`` of a word.
-The file is a fixed 36-byte header that gives the size of every section,
-the same three arrays back to back, so that each starts at a multiple of
-4 bytes, and the words last, as one UTF-8 block: it is written and read
-with one operation per section.
+ascending order. A build hashes every word's keys in one numpy pass per
+word length, straight from the code points, into one buffer of packed
+``key << 32 | id`` pairs, sorts it in place, by key, then id, drops each
+word's repeated keys and sorts again; a query hashes its keys by the
+same deletion layout with the scalar walker ``residual_keys`` and looks
+them all up with one binary search. ``candidates`` returns the ids as one
+ascending array, and ``search`` keeps them in it up to the match list, so
+no Python code runs once per candidate: only a match becomes a Python
+object, a plain ``(word_id, distance)`` tuple; neither build nor search
+makes a ``str`` of a word. The file is a fixed 36-byte header that gives
+the size of every section, the same three arrays back to back, so that
+each starts at a multiple of 4 bytes, and the words last, as one UTF-8
+block: it is written and read with one operation per section.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .distance import lane_distances
-from .neighborhood import HalfTag, Part, residual_key_pairs, residual_keys
+from .neighborhood import HalfTag, Part, _run_starts, residual_key_pairs, residual_keys
 
 __all__ = [
     "Dictionary",
@@ -361,8 +361,7 @@ class FastSSIndex:
     # key set: it is determined by the words and (d, m).
 
     def to_bytes(self) -> bytes:
-        d = self._params.max_distance
-        m = self._params.split_threshold
+        d, m = self._params.max_distance, self._params.split_threshold
         if d > 0xFF:
             raise ValueError("max_distance does not fit the file format (u8)")
         if m is not None and m >= UNBOUNDED_SENTINEL:
@@ -370,8 +369,9 @@ class FastSSIndex:
         words = _decode(self._dictionary.codes[:-1]).encode("utf-8")
         header = _HEADER.pack(_MAGIC, _VERSION, d, UNBOUNDED_SENTINEL if m is None else m,
                               len(words), len(self._keys), len(self._ids), 0)
-        return b"".join((header, self._keys.astype("<u4"), self._offsets.astype("<u4"),
-                         self._ids.astype("<u4"), words))
+        table = (column.astype("<u4", copy=False)
+                 for column in (self._keys, self._offsets, self._ids))
+        return b"".join((header, *table, words))
 
     @classmethod
     def from_bytes(cls, data) -> "FastSSIndex":
@@ -475,15 +475,6 @@ def _runs(values: np.ndarray, starts: np.ndarray, stops: np.ndarray
     # start minus the lengths of the runs before it.
     shifts = np.repeat(starts - begins, lengths)
     return values[np.arange(len(shifts)) + shifts], begins
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from the one
-    before them: the first of each run of equal values."""
-    first = np.empty(len(values), dtype=bool)
-    first[:1] = True
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return first
 
 
 class IndexFormatError(ValueError):

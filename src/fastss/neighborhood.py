@@ -117,17 +117,15 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     which a 32-bit id could not count.
 
     The numpy walker of the ``_deletion_sources`` layout that
-    ``residual_keys`` runs for one word. The words of one length are
-    hashed in one numpy pass, as one matrix with one row per word and one
-    column per state, so that nothing needs merging across words. Each
-    character is one numpy step on the whole matrix: the states that
-    delete it are copied from those with deletions to spare, and the
-    states that keep it take one FNV step by its code point. A row's
-    repeated keys are then dropped. The pair buffer is allocated once,
-    sized by the states of every word, as one packed ``key << 32 | id``
-    ``uint64`` per pair; the keys and ids are written straight into its
-    halves, and one sort in place orders the pairs. The two arrays
-    returned are strided views of those halves.
+    ``residual_keys`` runs for one word. One buffer of packed ``key << 32
+    | id`` ``uint64`` pairs, sized by the states of every word, is
+    allocated once. The words of one length are hashed in one numpy pass
+    straight into their stretch of its key halves, viewed as a matrix with
+    one row per word and one column per state; each character is one
+    numpy step on the whole matrix (see ``_hash_part``). One sort in place
+    puts a word's repeated keys side by side; they are dropped, and a
+    second sort leaves the distinct pairs first, returned as views of
+    their halves.
     """
     lengths = np.diff(starts) - 1
     # Not np.unique: its first call imports numpy.ma, about 0.5 MB that a
@@ -143,27 +141,38 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
                          f"offsets count at most {(1 << 32) - 1:,}")
     pairs = np.empty(total, dtype=np.uint64)
     halves = pairs.view(np.uint32).reshape(-1, 2)
-    filled = 0
+    end = 0
     for length, group in groups.items():
+        begin, end = end, end + len(group) * widths[length]
+        states, ids = halves[begin:end, _KEY_HALF], halves[begin:end, _ID_HALF]
+        # Assigning the shape raises rather than copy: both stay views.
+        states.shape = ids.shape = (len(group), widths[length])
+        ids[...] = group[:, None]
         chars = codes[starts[group, None] + np.arange(length)]
-        states = np.empty((len(group), widths[length]), dtype=np.uint32)
         column = 0
         for start, stop, max_deletions, tag in parts(length):
             column += _hash_part(states[:, column:], chars[:, start:stop],
                                  _deletion_sources(stop - start, max_deletions), tag)
-        # Drop each row's repeated keys. The default sort would page in
-        # about 190 kB more code, which counts as resident memory.
-        states.sort(axis=1, kind="stable")
-        keep = np.empty(states.shape, dtype=bool)
-        keep[:, 0] = True
-        np.not_equal(states[:, 1:], states[:, :-1], out=keep[:, 1:])
-        counts = keep.sum(axis=1)
-        end = filled + int(counts.sum())
-        np.compress(keep.ravel(), states.ravel(), out=halves[filled:end, _KEY_HALF])
-        halves[filled:end, _ID_HALF] = np.repeat(group, counts)
-        filled = end
-    pairs[:filled].sort()
-    return halves[:filled, _KEY_HALF], halves[:filled, _ID_HALF]
+    pairs.sort()
+    # Sorted, a word's repeated keys are equal neighbours. They become
+    # all-ones pairs, which sort last; a real all-ones pair would equal them
+    # and still sort inside ``distinct``. Masked assignment builds no index
+    # array, and logical_not pages in less code than ``~``; RSS counts both.
+    repeats = _run_starts(pairs)
+    np.logical_not(repeats, out=repeats)
+    pairs[repeats] = (1 << 64) - 1
+    distinct = total - int(np.count_nonzero(repeats))
+    pairs.sort()
+    return halves[:distinct, _KEY_HALF], halves[:distinct, _ID_HALF]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one
+    before them: the first of each run of equal values."""
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
 
 
 def _state_count(length: int, max_deletions: int) -> int:

@@ -37,6 +37,16 @@ def test_scanner_distances_match_scalar_unicode():
             assert dists[i] == full_edit_distance(w, q), (w, q)
 
 
+def test_scanner_distances_match_scalar_past_the_int16_bound():
+    # The DP runs in int16 while the longest word plus the query stays under
+    # 30,000 characters and in int64 from there: "" and "a" take the first
+    # branch, the longer queries the second.
+    words = ["a" * 29_998, "ab" * 14_999, "b"]
+    scanner = NaiveScanner(Dictionary(words))
+    for q in ["", "a", "ab", "ba", "bab", "bbbbb"]:
+        assert scanner.distances(q).tolist() == [full_edit_distance(w, q) for w in words], q
+
+
 def test_naive_agrees_with_index_both_directions():
     rng = random.Random(32)
     words = random_unique_words(rng, 120, 1, 12)

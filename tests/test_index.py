@@ -215,6 +215,9 @@ def test_build_matches_per_word_residual_keys(d, m):
         # one length: the whole dictionary is one matrix
         random_unique_words(rng, 3000, 6, 6),
         [],
+        # repeats outnumber distinct keys: at d=3, "a" * 12 has 299 states
+        # and 4 distinct residuals
+        ["a" * 12, "ab" * 6, "aab" * 4, "abba" * 3],
     ]
     params = IndexParams(d, m)
     for words in inputs:
