@@ -5,6 +5,9 @@ The scan is the ground truth for losslessness checks. It evaluates the
 full distance table for every dictionary word; the only liberty taken is
 that the tables for all words are filled simultaneously with numpy, which
 is cross-checked against the scalar implementation in the test suite.
+The words are matrix columns in the dictionary's code dtype, zero-padded
+to the longest word; the padding is never read, and the DP's integer type
+comes from the query's length alone (see ``NaiveScanner.distances``).
 """
 
 from __future__ import annotations
@@ -16,60 +19,55 @@ from .index import Dictionary, Match
 
 __all__ = ["NaiveScanner", "BKTree"]
 
-_PAD = 0x110000  # above every valid code point, never equal to query chars
-
 
 class NaiveScanner:
     """Scans a fixed dictionary; encode once, query many times."""
 
     def __init__(self, dictionary: Dictionary):
-        codes, starts = dictionary.codes, dictionary.starts
-        n = len(dictionary)
-        self._lengths = np.diff(starts) - 1
+        codes = dictionary.codes
+        self._lengths = np.diff(dictionary.starts) - 1
         width = int(self._lengths.max(initial=0))
-        # Row w of the matrix is word w, padded. Slot k of the code points
-        # is in word row[k], at column k - starts[row[k]]; the line break
-        # after each word is left out.
-        self._matrix = np.full((n, width), _PAD, dtype=np.uint32)
-        row = np.repeat(np.arange(n), self._lengths + 1)
-        chars = np.flatnonzero(codes != 10)
-        self._matrix[row[chars], chars - starts[row[chars]]] = codes[chars]
+        # Column w of the matrix is word w, zero below its last character;
+        # the line break after each word is left out.
+        self._matrix = np.zeros((width, len(self._lengths)), dtype=codes.dtype)
+        self._matrix.T[np.arange(width) < self._lengths[:, None]] = codes[codes != 10]
 
     def distances(self, query: str) -> np.ndarray:
         """Exact edit distance from ``query`` to every dictionary word.
 
-        One DP row per query character, vectorized across all words. Rows
-        are kept shifted by their column index, which turns the in-row
-        insertion dependency into a plain running minimum: a horizontal
-        run of insertions costs exactly 1 per skipped column, so in
-        shifted space it costs nothing. Raises TypeError for a query that
-        is not a ``str``.
+        One DP row per query character, vectorized across all words, which
+        are the matrix columns in the dictionary's dtype. Rows are kept
+        shifted by their column index, which turns the in-row insertion
+        dependency into a plain running minimum: a horizontal run of
+        insertions costs exactly 1 per skipped column, so in shifted space
+        it costs nothing. Entry j of a row depends only on the first j
+        characters of a word, whose distance is read at its length, so the
+        padding below a shorter word is never read. A shifted value
+        D(i, j) - j, and each step towards it, lies within ±i, so the dtype
+        is the narrowest that holds ±(len(query) + 1), whatever the word
+        lengths. Raises TypeError for a query that is not a ``str``.
         """
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
-        n, width = self._matrix.shape
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        dtype = np.int16 if width + len(query) < 30_000 else np.int64
-        offsets = np.arange(width + 1, dtype=dtype)
+        width, n = self._matrix.shape
+        dtype = np.min_scalar_type(-len(query) - 2)
         # shifted row for the empty query prefix: D(0, j) - j = 0
-        row = np.zeros((n, width + 1), dtype=dtype)
+        row = np.zeros((width + 1, n), dtype=dtype)
         staged = np.empty_like(row)
-        vertical = np.empty((n, width), dtype=dtype)
+        vertical = np.empty((width, n), dtype=dtype)
         same = np.empty(self._matrix.shape, dtype=bool)
         for i, qc in enumerate(np.frombuffer(query.encode("utf-32-le"), np.uint32), 1):
             # in shifted space: diagonal costs -1 on equal characters and
             # 0 otherwise, deleting the query character costs +1, and an
             # insertion run costs 0, so it becomes a running minimum.
             np.equal(self._matrix, qc, out=same)
-            np.subtract(row[:, :-1], same, out=staged[:, 1:])
-            np.add(row[:, 1:], 1, out=vertical)
-            np.minimum(staged[:, 1:], vertical, out=staged[:, 1:])
-            staged[:, 0] = i
-            np.minimum.accumulate(staged, axis=1, out=staged)
+            np.subtract(row[:-1], same, out=staged[1:])
+            np.add(row[1:], 1, out=vertical)
+            np.minimum(staged[1:], vertical, out=staged[1:])
+            staged[0] = i
+            np.minimum.accumulate(staged, axis=0, out=staged)
             row, staged = staged, row
-        return (row[np.arange(n), self._lengths]
-                + self._lengths).astype(np.int64)
+        return row[self._lengths, np.arange(n)] + self._lengths
 
     def scan(self, query: str, max_distance: int) -> list[Match]:
         """All words within ``max_distance``, sorted by (distance, id)."""

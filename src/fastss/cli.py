@@ -90,13 +90,9 @@ def _add_split_options(parser: argparse.ArgumentParser, required: bool) -> None:
                        help="index whole words only")
 
 
-def _params(args) -> IndexParams:
-    return IndexParams(args.d, args.m)
-
-
 def _cmd_build(args) -> int:
     dictionary = load_dictionary(args.dict)
-    params = _params(args)
+    params = IndexParams(args.d, args.m)
     start = time.perf_counter()
     index = FastSSIndex.build(dictionary, params)
     build_ms = (time.perf_counter() - start) * 1e3
@@ -119,7 +115,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_bench(args) -> int:
     dictionary, workload = _workload(args)
-    _output([run_benchmark(dictionary, _params(args), workload,
+    _output([run_benchmark(dictionary, IndexParams(args.d, args.m), workload,
                            dataset=Path(args.dict).stem)], args.csv)
     return 0
 

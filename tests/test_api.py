@@ -61,3 +61,22 @@ def test_every_definition_is_used_outside_the_tests():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert defined <= used, sorted(defined - used)
+
+
+def test_every_local_is_read():
+    # A local name that a function assigns but never reads is dead code.
+    # Reads in nested functions count, an augmented assignment reads its
+    # target, and ``_``-prefixed names are exempt.
+    unread = set()
+    for path in sorted((ROOT / "src" / "fastss").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+            read |= {node.target.id for node in ast.walk(func)
+                     if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+            unread |= {f"{path.name}:{node.lineno} {node.id}" for node in names
+                       if isinstance(node.ctx, ast.Store) and not node.id.startswith("_")
+                       and node.id not in read}
+    assert not unread, sorted(unread)

@@ -38,12 +38,33 @@ def test_scanner_distances_match_scalar_unicode():
 
 
 def test_scanner_distances_match_scalar_past_the_int16_bound():
-    # The DP runs in int16 while the longest word plus the query stays under
-    # 30,000 characters and in int64 from there: "" and "a" take the first
-    # branch, the longer queries the second.
+    # The DP's dtype depends on the query alone: its shifted values stay
+    # within ±(len(query) + 1) however long the words are, so int8 holds
+    # these 30,000-character words.
     words = ["a" * 29_998, "ab" * 14_999, "b"]
     scanner = NaiveScanner(Dictionary(words))
     for q in ["", "a", "ab", "ba", "bab", "bbbbb"]:
+        assert scanner.distances(q).tolist() == [full_edit_distance(w, q) for w in words], q
+
+
+@pytest.mark.parametrize("length", [126, 127, 128, 32_766, 32_767, 32_768])
+def test_scanner_distances_match_scalar_at_the_dtype_switches(length):
+    # The DP runs in int8 up to 126 query characters, in int16 up to 32,766
+    # and in int32 beyond. Its values reach ±len(query), so 128 and 32,768
+    # characters overflow a dtype one step too narrow. Short words keep the
+    # scalar reference cheap.
+    words = ["a", "ab", "bbbbb"]
+    scanner = NaiveScanner(Dictionary(words))
+    for q in ["b" * length, "ab" + "c" * (length - 2)]:
+        assert scanner.distances(q).tolist() == [full_edit_distance(w, q) for w in words]
+
+
+@pytest.mark.parametrize("words", [["a", "ab", "bbbbb"], ["ā", "āb", "šbbbb"]])
+def test_scanner_never_reads_the_padding(words):
+    # Words shorter than the longest one are zero-padded. Each query holds
+    # the pad's code point or one too wide for the ASCII words' uint8.
+    scanner = NaiveScanner(Dictionary(words))
+    for q in ["\x00", "a\x00", "ā", "Ā", "\U00010161", "\U00010000"]:
         assert scanner.distances(q).tolist() == [full_edit_distance(w, q) for w in words], q
 
 

@@ -88,6 +88,34 @@ def test_from_bytes_accepts_any_bytes_like(tmp_path):
             assert FastSSIndex.from_bytes(mapped) == idx
 
 
+def _load_from_bytearray_then_overwrite(blob, tmp_path):
+    data = bytearray(blob)
+    restored = FastSSIndex.from_bytes(data)
+    data[:] = b"\xff" * len(data)
+    return restored
+
+
+def _load_from_mmap_then_close(blob, tmp_path):
+    path = tmp_path / "words.fssi"
+    path.write_bytes(blob)
+    with path.open("rb") as file:
+        mapped = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+    restored = FastSSIndex.from_bytes(mapped)
+    mapped.close()  # raises BufferError while any view of the map is alive
+    return restored
+
+
+@pytest.mark.parametrize("load", [_load_from_bytearray_then_overwrite,
+                                  _load_from_mmap_then_close])
+def test_loaded_index_never_reads_its_source_buffer(load, tmp_path):
+    words = ["münchen", "köln", "øre", "koeln", "muenchen"]
+    idx = FastSSIndex.build(Dictionary(words), IndexParams(2, 4))
+    restored = load(idx.to_bytes(), tmp_path)
+    assert restored == idx
+    for q in words + ["munchen", "kln", "ore", ""]:
+        assert restored.search(q) == idx.search(q), q
+
+
 def test_corrupted_magic_rejected():
     blob = bytearray(FastSSIndex.build(Dictionary(["ab"]), IndexParams(1)).to_bytes())
     blob[0] ^= 0xFF
