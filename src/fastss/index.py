@@ -3,10 +3,10 @@ queries.
 
 The ``Dictionary`` holds its words once, as one array of code points, each
 word followed by a line break, and every layer reads them from there.
-Every dictionary word contributes the hashed residuals of its deletion
-neighborhood; a query probes the same keys and verifies all surviving
-candidates in one bit-parallel pass over their words gathered from that
-array, one lane per word and its line break. Words longer than the
+Every dictionary word contributes the keys of the residuals of its
+deletion neighborhood; a query probes the same keys and verifies all
+surviving candidates in one bit-parallel pass over their words gathered
+from that array, one lane per word and its line break. Words longer than the
 splitting threshold m are instead stored as two halves of floor(d/2) edits
 each, which shrinks the index dramatically, while queries compensate by
 probing several split positions. ``IndexParams.word_parts`` and
@@ -14,13 +14,15 @@ probing several split positions. ``IndexParams.word_parts`` and
 
 The posting table is three flat, read-only ``uint32`` arrays: the sorted
 distinct keys, offsets into the id array, and the word ids of each key in
-ascending order. A build hashes every word's keys in one numpy pass per
-word length, straight from the code points, into one buffer of packed
-``key << 32 | id`` pairs, sorts it in place, by key, then id, drops each
-word's repeated keys and sorts again; a query hashes its keys by the
-same deletion layout with the scalar walker ``residual_keys`` and looks
-them all up with one binary search. ``candidates`` returns the ids as one
-ascending array, and ``search`` keeps them in it up to the match list, so
+ascending order. Keys are linear in the code points, so one cached plan
+per length and parts, ``_residual_plan``, turns them into one matrix
+product. A build keys every word of one length with one product,
+straight from the code points, into one buffer of packed ``key << 32 |
+id`` pairs, sorts it in place, by key, then id, drops each word's
+repeated keys and sorts again; a query keys every part it probes with
+one product of its code points and looks them all up with one binary
+search. ``candidates`` returns the ids as one ascending array, and
+``search`` keeps them in it up to the match list, so
 no Python code runs once per candidate: only a match becomes a Python
 object, a plain ``(word_id, distance)`` tuple; neither build nor search
 makes a ``str`` of a word. The file is a fixed 36-byte header that gives
@@ -38,7 +40,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .distance import lane_distances
-from .neighborhood import HalfTag, Part, _run_starts, residual_key_pairs, residual_keys
+from .neighborhood import HalfTag, Part, _residual_plan, _run_starts, residual_key_pairs
 
 __all__ = [
     "Dictionary",
@@ -53,7 +55,7 @@ __all__ = [
 
 UNBOUNDED_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"FSSI"
-_VERSION = 7
+_VERSION = 8
 # magic, version, d, m, words byte length W, key count K, id count N and
 # one reserved zero byte, so that the table starts at byte 36
 _HEADER = struct.Struct("<4sHBIQQQB")
@@ -297,10 +299,12 @@ class FastSSIndex:
             query.encode("utf-32-le")
             return self._ids[:0]
 
-        keys: set[int] = set()
-        for start, stop, k, tag in self._params.query_parts(len(query)):
-            keys |= residual_keys(query[start:stop], k, tag)
-        probes = np.fromiter(keys, dtype=np.uint32, count=len(keys))
+        # One product keys every state of every part. A residual that
+        # several states or parts share is probed more than once, and its
+        # ids are then gathered twice; the dedupe below drops them.
+        parts = tuple(self._params.query_parts(len(query)))
+        weights, offsets = _residual_plan(len(query), parts)
+        probes = weights @ np.frombuffer(query.encode("utf-32-le"), "<u4") + offsets
         rows = self._keys.searchsorted(probes)
         rows = rows[self._keys.take(rows, mode="clip") == probes]
         ids = np.sort(_runs(self._ids, self._offsets[rows], self._offsets[rows + 1])[0])

@@ -1,23 +1,32 @@
-"""Deletion neighborhoods and residual-key hashing.
+"""Deletion neighborhoods and residual keys.
 
 A residual of a word is what remains after deleting some character
 positions. Two words within edit distance d always share a residual
-reachable with at most d deletions from each side, so hashed residuals
-make a lossless filter key. Each residual is reduced to a 32-bit FNV-1a
-hash of a tag byte followed by its Unicode code points, one FNV step per
-character. The tag byte keeps keys of whole words, prefix halves and
-suffix halves in disjoint key spaces. Residuals of different words may
-share a key; such a collision only adds a candidate, which verification
-removes.
+reachable with at most d deletions from each side, so keyed residuals
+make a lossless filter. Each residual r is reduced to a 32-bit
+polynomial key over its Unicode code points (Karp and Rabin 1987):
 
-A state is one set of deleted positions. One layout, ``_deletion_sources``,
-orders the states of a word length and says how each character extends
-them, and two walkers hash by it without building residual strings:
-``residual_keys`` is the scalar one, for one query, and
-``residual_key_pairs`` the numpy one, for every word of a length at once
-in an index build. ``full_neighborhood`` enumerates the residual strings
-themselves and is the reference both are tested against. The hash is part
-of the index file format and must stay bit-stable.
+    key(tag, r) = (C[tag] + sum over t of (r[t] + 1) * P**(t + 1)) mod 2**32
+
+with one odd constant P and one offset C per tag. The offsets keep keys
+of whole words, prefix halves and suffix halves apart, and the ``+ 1``
+makes the length part of the key, so that ``"a"`` and ``"a\0"`` differ.
+Residuals of different words may share a key; such a collision only adds
+a candidate, which verification removes.
+
+A state is one set of deleted positions of a part of a word. The key is
+linear in the code points, so the keys of every state of every part of a
+string of one length are one matrix product, ``W @ chars + c``: row s of
+``W`` holds ``P**(rank + 1)`` at each position that state s keeps, rank
+counting the kept positions before it, and ``c[s]`` holds the tag's offset
+and the sum of the ``+ 1`` terms. ``_residual_plan`` makes and caches
+``(W, c)`` once per length and parts. A query takes one product of its
+code points (``residual_keys`` for one part, ``FastSSIndex.candidates``
+for all of them), and ``residual_key_pairs`` one product per word length
+for every word of an index build. ``full_neighborhood`` enumerates the
+residual strings themselves and is the reference both are tested
+against. The key is part of the index file format and must stay
+bit-stable.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 import sys
 from enum import IntEnum
 from functools import lru_cache
+from itertools import chain, combinations
 from math import comb
 from typing import Callable, Sequence
 
@@ -37,17 +47,19 @@ __all__ = [
     "residual_key_pairs",
 ]
 
-_FNV_OFFSET = 0x811C9DC5
-_FNV_PRIME = 0x01000193
 _MASK32 = (1 << 32) - 1
-_PRIME = np.uint32(_FNV_PRIME)
+# Knuth's multiplicative-hashing prime, about 2**32 over the golden ratio.
+_P = 0x9E3779B1
+# C[tag]: the first 32 bits of the fractions of the square roots of 2, 3
+# and 5, indexed by HalfTag.
+_TAG_OFFSETS = (0x6A09E667, 0xBB67AE85, 0x3C6EF372)
 # A build packs each (key, word id) pair into one uint64, key << 32 | id,
 # so that sorting the pairs sorts by key, then id. These are its key and id
 # halves in memory.
 _KEY_HALF, _ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
 
 class HalfTag(IntEnum):
-    """Key-space tag mixed into every residual hash."""
+    """Key-space tag: selects the offset C[tag] of every residual key."""
 
     WHOLE = 0x00
     PREFIX = 0x01
@@ -73,32 +85,25 @@ def full_neighborhood(word: str, max_deletions: int) -> set[str]:
 
 
 def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
-    """Hashed keys of the full deletion neighborhood of ``word``: the
-    32-bit FNV-1a hash of the tag byte followed by each residual's code
-    points, one step ``h = (h ^ code point) * prime mod 2**32`` per
-    character. Deterministic and bit-stable; index files depend on it.
-    Raises UnicodeEncodeError for a word with a lone surrogate.
+    """Keys of the full deletion neighborhood of ``word``: exactly the
+    keys of ``full_neighborhood(word, max_deletions)`` under ``tag``, as
+    the module docstring defines them. Deterministic and bit-stable; index
+    files depend on it. Raises UnicodeEncodeError for a word with a lone
+    surrogate.
 
-    The scalar walker of the ``_deletion_sources`` layout: ``states`` holds
-    one hash state per set of deleted positions of the prefix read so far.
-    Each character advances every state by its code point (the character
-    kept) and appends, from before that step, copies of the states with
-    deletions to spare (the character deleted). Distinct sets can leave
-    equal residuals, so the result is the set of the final states:
-    exactly the hashes of ``full_neighborhood(word, max_deletions)``.
+    The one-part case of ``_residual_plan``: one product of the word's code
+    points. Distinct sets of deleted positions can leave equal residuals,
+    whose equal keys the set collapses.
     """
     if max_deletions < 0:
         raise ValueError("max_deletions must be non-negative")
-    word.encode("utf-32-le")  # as the build does: a lone surrogate raises
-    prime, mask = _FNV_PRIME, _MASK32
-    states = [((_FNV_OFFSET ^ tag) * prime) & mask]
-    for point, source in zip(map(ord, word), _deletion_sources(len(word), max_deletions)):
-        states = [((s ^ point) * prime) & mask for s in states] + [states[j] for j in source]
-    return set(states)
+    chars = np.frombuffer(word.encode("utf-32-le"), "<u4")
+    weights, offsets = _residual_plan(len(word), ((0, len(word), max_deletions, tag),))
+    return set((weights @ chars + offsets).tolist())
 
 
 Part = tuple[int, int, int, HalfTag]
-"""Character range ``start:stop`` of a word, hashed with at most
+"""Character range ``start:stop`` of a word, keyed with at most
 ``max_deletions`` deletions under ``tag``: (start, stop, max_deletions, tag)."""
 
 
@@ -116,16 +121,13 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     before allocating anything, if the states of all words reach 2**32,
     which a 32-bit id could not count.
 
-    The numpy walker of the ``_deletion_sources`` layout that
-    ``residual_keys`` runs for one word. One buffer of packed ``key << 32
-    | id`` ``uint64`` pairs, sized by the states of every word, is
-    allocated once. The words of one length are hashed in one numpy pass
+    One buffer of packed ``key << 32 | id`` ``uint64`` pairs, sized by the
+    states of every word, is allocated once. The words of one length are
+    keyed by one product with that length's ``_residual_plan``, written
     straight into their stretch of its key halves, viewed as a matrix with
-    one row per word and one column per state; each character is one
-    numpy step on the whole matrix (see ``_hash_part``). One sort in place
-    puts a word's repeated keys side by side; they are dropped, and a
-    second sort leaves the distinct pairs first, returned as views of
-    their halves.
+    one row per word and one column per state. One sort in place puts a
+    word's repeated keys side by side; they are dropped, and a second sort
+    leaves the distinct pairs first, returned as views of their halves.
     """
     lengths = np.diff(starts) - 1
     # Not np.unique: its first call imports numpy.ma, about 0.5 MB that a
@@ -148,11 +150,9 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
         # Assigning the shape raises rather than copy: both stay views.
         states.shape = ids.shape = (len(group), widths[length])
         ids[...] = group[:, None]
-        chars = codes[starts[group, None] + np.arange(length)]
-        column = 0
-        for start, stop, max_deletions, tag in parts(length):
-            column += _hash_part(states[:, column:], chars[:, start:stop],
-                                 _deletion_sources(stop - start, max_deletions), tag)
+        weights, offsets = _residual_plan(length, tuple(parts(length)))
+        np.matmul(codes[starts[group, None] + np.arange(length)], weights.T, out=states)
+        states += offsets
     pairs.sort()
     # Sorted, a word's repeated keys are equal neighbours. They become
     # all-ones pairs, which sort last; a real all-ones pair would equal them
@@ -181,37 +181,35 @@ def _state_count(length: int, max_deletions: int) -> int:
 
 
 @lru_cache(maxsize=128)
-def _deletion_sources(length: int, max_deletions: int) -> tuple[tuple[int, ...], ...]:
-    """Where the states of a part of ``length`` characters come from, one
-    state per set of at most ``max_deletions`` deleted positions. The
-    states before character i are those of the prefix read so far; reading
-    character i appends copies of the states ``sources[i]``, those with
-    deletions to spare, as the states that delete it. Both walkers read
-    this one layout, so it is cached, and immutable so that neither can
-    change a shared entry."""
-    deletions = [0]
-    sources = []
+def _residual_plan(length: int, parts: tuple[Part, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``(W, c)``, such that ``W @ chars + c`` are the keys of every state
+    of ``parts`` of a string of ``length`` code points ``chars``, one row
+    per state, the parts' states in order: ``_state_count(stop - start,
+    max_deletions)`` rows each. ``W`` is ``uint32`` with one column per
+    character and ``c`` ``uint32``; both are read-only, as queries and
+    builds share the cached entries. A part's states are taken by deletion
+    count, each count's sets of kept positions in lexicographic order.
+    """
+    # powers[t] = P**t; sums[n] = sum of P**(t + 1) for t < n, the + 1
+    # terms of n characters.
+    powers, sums = [1], [0]
     for _ in range(length):
-        source = tuple(column for column, count in enumerate(deletions) if count < max_deletions)
-        sources.append(source)
-        deletions += [deletions[column] + 1 for column in source]
-    return tuple(sources)
-
-
-def _hash_part(states: np.ndarray, chars: np.ndarray,
-               sources: tuple[tuple[int, ...], ...], tag: HalfTag) -> int:
-    """Hash the residuals of ``chars`` (code points, one row per word) into
-    the first columns of ``states``, laid out by ``sources``; returns how
-    many columns they fill."""
-    states[:, 0] = ((_FNV_OFFSET ^ tag) * _FNV_PRIME) & _MASK32
-    active = 1
-    for i, source in enumerate(sources):
-        grown = active + len(source)
-        # Copies first, while the sources still lack character i.
-        states[:, active:grown] = states[:, source]
-        kept = states[:, :active]
-        kept ^= chars[:, i, None]
-        kept *= _PRIME
-        active = grown
-    return active
-
+        powers.append(powers[-1] * _P & _MASK32)
+        sums.append((sums[-1] + powers[-1]) & _MASK32)
+    rows = sum(_state_count(stop - start, k) for start, stop, k, _ in parts)
+    weights = np.zeros((rows, length), dtype=np.uint32)
+    offsets = np.empty(rows, dtype=np.uint32)
+    row = 0
+    for start, stop, max_deletions, tag in parts:
+        size = stop - start
+        for deleted in range(min(size, max_deletions) + 1):
+            count, width = comb(size, deleted), size - deleted
+            # The positions each state keeps, ascending: rank t gets P**(t + 1).
+            # In the narrowest type, as for a long part it is about as large as W.
+            kept = np.fromiter(chain.from_iterable(combinations(range(start, stop), width)),
+                               np.min_scalar_type(stop), count * width).reshape(count, width)
+            weights[np.arange(row, row + count)[:, None], kept] = powers[1:width + 1]
+            offsets[row:row + count] = (_TAG_OFFSETS[tag] + sums[width]) & _MASK32
+            row += count
+    weights.flags.writeable = offsets.flags.writeable = False
+    return weights, offsets

@@ -78,12 +78,12 @@ def test_file_bytes_of_bundled_list_are_pinned():
     # digest as it is.
     dictionary = load_dictionary(bundled_words_path())
     for params, length, digest, table_digest in [
-        (IndexParams(2), 7_199_742,
-         "84344db8e0aaa2e9b5810fc68e568d83352bb64a19ea1a0e09629141dba319bd",
-         "546458fd4dc101b414160eaaa4aaa00c4eb106a06de5c13c67f2760241805a40"),
-        (IndexParams(3, 7), 3_449_594,
-         "7776ec8bd1aead2988634b988bdfbc10bd411c4ea1c41c22aea53d75da306443",
-         "71f4d97cc396968e757d84bcc793b3752fa063032c87f6c84be381d8d2e8e49b"),
+        (IndexParams(2), 7_199_846,
+         "ff09b48a168d2ccf641e1a927fb5300d4bf91e85e9a82f8d996848fb2cddf7e2",
+         "efa8eb3c9df479f2155a3ee3818d3e001e751da72634925c8ffd4a004bcb9ff7"),
+        (IndexParams(3, 7), 3_449_610,
+         "a0b13a128c634fc97323ef1effc274aad64aeeb55c03f5590c77463135cad654",
+         "5c469938f616843ea81d23aa86a40fbd5f675e7f18a76cf3f23ada2ad62b326a"),
     ]:
         blob = FastSSIndex.build(dictionary, params).to_bytes()
         assert len(blob) == length, params

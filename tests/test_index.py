@@ -237,15 +237,16 @@ def test_build_rejects_more_states_than_32_bits_count():
 
 
 def test_colliding_key_adds_a_candidate_that_verification_removes():
-    # 32-bit keys collide: these two words, found by a birthday search,
-    # share their one key at d=0. The query finds the other word as a
-    # candidate, and the search drops it, as the scan does.
-    dictionary = Dictionary(["tsdqlp"])
-    assert (residual_keys("tsdqlp", 0, HalfTag.WHOLE) == residual_keys("uqvmoj", 0, HalfTag.WHOLE)
-            == {0x912742F1})
+    # 32-bit keys collide: these two words, found by a birthday search over
+    # 200k random 6-letter words (random.Random(25)), share their one key at
+    # d=0. The query finds the other word as a candidate, and the search
+    # drops it, as the scan does.
+    dictionary = Dictionary(["ehvbck"])
+    assert (residual_keys("ehvbck", 0, HalfTag.WHOLE) == residual_keys("xkfxbp", 0, HalfTag.WHOLE)
+            == {0x02E6E350})
     idx = FastSSIndex.build(dictionary, IndexParams(0))
-    assert idx.candidates("uqvmoj").tolist() == [0]
-    assert idx.search("uqvmoj") == [] == NaiveScanner(dictionary).scan("uqvmoj", 0)
+    assert idx.candidates("xkfxbp").tolist() == [0]
+    assert idx.search("xkfxbp") == [] == NaiveScanner(dictionary).scan("xkfxbp", 0)
 
 
 def test_runs_gathers_unsigned_bounds_in_any_order():
@@ -640,9 +641,9 @@ def test_overlong_query_enumerates_nothing(monkeypatch):
         assert Match(words.index(longest), d) in idx.search(q)
 
     def refuse(*args):
-        raise AssertionError("residual_keys called for an overlong query")
+        raise AssertionError("a residual plan was asked for an overlong query")
 
-    monkeypatch.setattr(fastss.index, "residual_keys", refuse)
+    monkeypatch.setattr(fastss.index, "_residual_plan", refuse)
     for (d, m), idx in indexes.items():
         for q in ["q" * 120, "y" * (len(longest) + d + 1)]:
             assert idx.search(q) == [] == scanner.scan(q, d), (q, d, m)

@@ -9,7 +9,7 @@ from fastss.distance import full_edit_distance
 from fastss.index import Dictionary, FastSSIndex, IndexParams
 from fastss.neighborhood import (
     HalfTag,
-    _deletion_sources,
+    _residual_plan,
     _state_count,
     full_neighborhood,
     residual_keys,
@@ -111,29 +111,28 @@ def test_neighborhood_elements_are_subsequences():
     assert all(w in full_neighborhood(w, d) for w in ("", "a", "abc") for d in (0, 2))
 
 
-def fnv1a(data) -> int:
-    """32-bit FNV-1a over a sequence of ints (bytes or code points), written
-    out independently of the library."""
-    h = 0x811C9DC5
-    for value in data:
-        h = ((h ^ value) * 0x01000193) & 0xFFFFFFFF
-    return h
+def polynomial_key(tag: int, residual: str) -> int:
+    """The residual key by its definition, (C[tag] + sum of (code point
+    + 1) * P**(t + 1)) mod 2**32, in Python ints, written out independently
+    of the library."""
+    key = (0x6A09E667, 0xBB67AE85, 0x3C6EF372)[tag]
+    for t, char in enumerate(residual):
+        key += (ord(char) + 1) * pow(0x9E3779B1, t + 1)
+    return key % (1 << 32)
 
 
-def test_hash_residual_fnv_reference_values():
-    # FNV-1a 32 reference vectors (offset 0x811C9DC5, prime 0x01000193),
-    # recomputed by hand for the tagged encoding: WHOLE + "" hashes the
-    # single byte 0x00.
-    assert residual_keys("", 0, HalfTag.WHOLE) == {0x050C5D1F}
-
-    # Anchor the FNV core against published vectors, then check the tagged
-    # encoding against the independent inline implementation.
-    assert fnv1a(b"") == 0x811C9DC5
-    assert fnv1a(b"a") == 0xE40C292C
-    assert fnv1a(b"foobar") == 0xBF9CF968
-    assert residual_keys("a", 0, HalfTag.WHOLE) == {fnv1a(b"\x00a")}
-    assert residual_keys("a", 0, HalfTag.PREFIX) == {fnv1a(b"\x01a")}
-    assert residual_keys("a", 0, HalfTag.SUFFIX) == {fnv1a(b"\x02a")}
+def test_hash_residual_reference_values():
+    # Worked by hand: the empty residual is its tag's offset alone, and
+    # "a" adds (97 + 1) * P = 98 * 0x9E3779B1 = 0x3C913C95C2.
+    assert residual_keys("", 0, HalfTag.WHOLE) == {0x6A09E667}
+    assert residual_keys("", 0, HalfTag.PREFIX) == {0xBB67AE85}
+    assert residual_keys("", 0, HalfTag.SUFFIX) == {0x3C6EF372}
+    assert residual_keys("a", 0, HalfTag.WHOLE) == {0xFB467C29}
+    for tag in HalfTag:
+        assert residual_keys("ab", 0, tag) == {polynomial_key(tag, "ab")}
+    # The + 1 counts the length: a trailing or lone NUL still changes the key.
+    keys = [residual_keys(word, 0, HalfTag.WHOLE) for word in ("", "\x00", "a", "a\x00")]
+    assert len(set().union(*keys)) == 4
 
 
 def test_hash_residual_deterministic_and_tagged():
@@ -144,14 +143,14 @@ def test_hash_residual_deterministic_and_tagged():
 
 
 def test_hash_residual_code_points():
-    # Each character is one FNV step by its code point, whatever its UTF-8
+    # Each character is one term by its code point, whatever its UTF-8
     # length; format version 4 and earlier hashed the UTF-8 bytes instead.
     assert residual_keys("ü", 0, HalfTag.WHOLE) != residual_keys("u", 0, HalfTag.WHOLE)
-    assert residual_keys("ü", 0, HalfTag.WHOLE) != {fnv1a(b"\x00\xc3\xbc")}
-    for word in ("ü", "münchen", "\U0001D11E"):  # the last is 4 bytes in UTF-8
+    assert residual_keys("ü", 0, HalfTag.WHOLE) != {polynomial_key(HalfTag.WHOLE, "\xc3\xbc")}
+    for word in ("ü", "münchen", "\U0001D11E", "\U0010FFFF" * 3):  # 4 bytes in UTF-8
         for tag in HalfTag:
             (key,) = residual_keys(word, 0, tag)
-            assert key == fnv1a([tag, *map(ord, word)]), (word, tag)
+            assert key == polynomial_key(tag, word), (word, tag)
             assert 0 <= key < (1 << 32)
 
 
@@ -163,23 +162,24 @@ def test_residual_keys_rejects_negative_budget():
 
 
 def test_residual_keys_match_hashed_neighborhood():
-    # The one-pass keys equal FNV-1a over every residual of the enumerator,
-    # for every budget 0..4 and tag. Repeated characters in {a,b} words
-    # give repeated states, which the final set collapses; the last inputs
-    # have code points of 2, 3 and 4 UTF-8 bytes.
+    # The keys equal the definition over every residual of the enumerator,
+    # for every budget 0..4 and tag, on words of 0 to 12 characters. Words
+    # over {a,b} repeat residuals, which the set collapses; the others mix
+    # code points of every width: ASCII, NUL, Latin-1, the BMP and astral.
     words = list(load_dictionary(bundled_words_path()).words[:3000])
     rng = random.Random(8)
     # 20k draws give 4,141 distinct {a,b} words; each is checked once.
     words += sorted({random_word(rng, 0, 12, alphabet="ab") for _ in range(20_000)})
-    words += ["münchen", "straße", "a\U0001F600b\U0001F600", "€uro"]
+    wide = "az\x00\x7f\xe9\xff\u20ac\uffff\U0001F600\U0010FFFF"
+    words += sorted({random_word(rng, 0, 12, alphabet=wide) for _ in range(600)})
     for word in words:
         # A residual with j deletions has len(word) - j characters, so the
         # budget-4 residuals hold those of every smaller budget.
-        residuals = [(len(r), list(map(ord, r))) for r in full_neighborhood(word, 4)]
+        residuals = full_neighborhood(word, 4)
         for tag in HalfTag:
-            hashed = [(length, fnv1a([tag, *r])) for length, r in residuals]
+            keyed = [(len(r), polynomial_key(tag, r)) for r in residuals]
             for k in range(5):
-                expected = {h for length, h in hashed if length >= len(word) - k}
+                expected = {key for length, key in keyed if length >= len(word) - k}
                 assert residual_keys(word, k, tag) == expected, (word, k, tag)
 
 
@@ -190,33 +190,34 @@ def test_residual_keys_counts():
     assert len(residual_keys("whatever", 0, HalfTag.WHOLE)) == 1
 
 
-def test_deletion_layout_fills_every_state():
-    # residual_key_pairs sizes its key buffer by _state_count and
-    # _hash_part fills it by the layout, so the two counts must agree, or
-    # uninitialised memory would become keys.
+def test_residual_plan_cache_is_safe():
+    # residual_key_pairs sizes its key buffer by _state_count and fills it
+    # with one product by the plan, so the two counts must agree, or
+    # uninitialised memory would become keys. Queries and builds share the
+    # cached plans: none can be written to, and making them afresh changes
+    # no key of a query or a build.
     for length in range(15):
         for k in range(6):
-            sources = _deletion_sources(length, k)
-            assert 1 + sum(map(len, sources)) == _state_count(length, k), (length, k)
-
-
-def test_deletion_layout_cache_is_safe_to_evict():
-    # Both walkers share the cached layouts. Evicting and recomputing every
-    # entry changes no key of a query or a build, and no entry is mutable.
+            parts = IndexParams(k, 4).query_parts(length) + IndexParams(k, 4).word_parts(length)
+            weights, offsets = _residual_plan(length, tuple(parts))
+            rows = sum(_state_count(stop - start, budget) for start, stop, budget, _ in parts)
+            assert weights.shape == (rows, length) and offsets.shape == (rows,), (length, k)
+            for array in (weights, offsets):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
     rng = random.Random(9)
     dictionary = Dictionary(random_unique_words(rng, 300, 1, 14))
     params = IndexParams(2, 6)
     before = FastSSIndex.build(dictionary, params)
-    words = ["", "a", "abcdefg", "mississippi", "straße"]
-    recorded = {(w, k): residual_keys(w, k, HalfTag.WHOLE) for w in words for k in range(4)}
-    for length in range(_deletion_sources.cache_info().maxsize + 1):
-        residual_keys("x" * length, 1, HalfTag.WHOLE)
+    queries = ["", "a", "abcdefg", "mississippi", "straße", "abcdefghijkl"]
+    recorded = {(w, k): residual_keys(w, k, HalfTag.WHOLE) for w in queries for k in range(4)}
+    candidates = {w: before.candidates(w).tolist() for w in queries}
+    _residual_plan.cache_clear()
     assert FastSSIndex.build(dictionary, params) == before
+    _residual_plan.cache_clear()
+    assert {w: before.candidates(w).tolist() for w in queries} == candidates
     assert {(w, k): residual_keys(w, k, HalfTag.WHOLE) for w, k in recorded} == recorded
-    for w, k in recorded:
-        sources = _deletion_sources(len(w), k)
-        assert isinstance(sources, tuple), (w, k)
-        assert all(isinstance(source, tuple) for source in sources), (w, k)
 
 
 def test_shared_residual_filter_soundness():

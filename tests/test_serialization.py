@@ -57,7 +57,7 @@ def test_header_layout_is_stable():
     blob = idx.to_bytes()
     assert blob[:4] == b"FSSI"
     fields = struct.unpack_from("<HBIQQQB", blob, 4)
-    assert fields == (7, 1, 0xFFFFFFFF, 2, 3, 3, 0)
+    assert fields == (8, 1, 0xFFFFFFFF, 2, 3, 3, 0)
     assert blob[-2:] == b"ab" and len(blob) == 36 + 4 * 3 + 4 * 4 + 4 * 3 + 2
 
 
@@ -127,7 +127,7 @@ def test_corrupted_magic_rejected():
 V5_EMPTY = b"FSSI" + struct.pack("<HBIIQ", 5, 1, 0xFFFFFFFF, 0, 0)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
 def test_unsupported_version_rejected(version):
     blob = bytearray(FastSSIndex.build(Dictionary(["ab"]), IndexParams(1)).to_bytes())
     short = bytearray(V5_EMPTY)
