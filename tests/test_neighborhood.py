@@ -190,19 +190,26 @@ def test_residual_keys_counts():
     assert len(residual_keys("whatever", 0, HalfTag.WHOLE)) == 1
 
 
-def test_residual_plan_cache_is_safe():
+def test_deletion_layout_fills_every_state():
     # residual_key_pairs sizes its key buffer by _state_count and fills it
-    # with one product by the plan, so the two counts must agree, or
-    # uninitialised memory would become keys. Queries and builds share the
-    # cached plans: none can be written to, and making them afresh changes
-    # no key of a query or a build.
+    # with one product by the cached residual plan, so the two counts must
+    # agree, or uninitialised memory would become keys.
     for length in range(15):
         for k in range(6):
             parts = IndexParams(k, 4).query_parts(length) + IndexParams(k, 4).word_parts(length)
             weights, offsets = _residual_plan(length, tuple(parts))
             rows = sum(_state_count(stop - start, budget) for start, stop, budget, _ in parts)
             assert weights.shape == (rows, length) and offsets.shape == (rows,), (length, k)
-            for array in (weights, offsets):
+
+
+def test_deletion_layout_cache_is_safe_to_evict():
+    # Queries and builds share the cached residual plans: none can be
+    # written to, and evicting and making them afresh changes no key of a
+    # query or a build.
+    for length in range(15):
+        for k in range(6):
+            parts = tuple(IndexParams(k, 4).query_parts(length))
+            for array in _residual_plan(length, parts):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[...] = 0
@@ -213,6 +220,9 @@ def test_residual_plan_cache_is_safe():
     queries = ["", "a", "abcdefg", "mississippi", "straße", "abcdefghijkl"]
     recorded = {(w, k): residual_keys(w, k, HalfTag.WHOLE) for w in queries for k in range(4)}
     candidates = {w: before.candidates(w).tolist() for w in queries}
+    for length in range(_residual_plan.cache_info().maxsize + 1):
+        residual_keys("x" * length, 1, HalfTag.WHOLE)
+    assert FastSSIndex.build(dictionary, params) == before
     _residual_plan.cache_clear()
     assert FastSSIndex.build(dictionary, params) == before
     _residual_plan.cache_clear()
