@@ -25,10 +25,9 @@ search. ``candidates`` returns the ids as one ascending array, and
 ``search`` keeps them in it up to the match list, so
 no Python code runs once per candidate: only a match becomes a Python
 object, a plain ``(word_id, distance)`` tuple; neither build nor search
-makes a ``str`` of a word. The file is a fixed 36-byte header that gives
-the size of every section, the same three arrays back to back, so that
-each starts at a multiple of 4 bytes, and the words last, as one UTF-8
-block: it is written and read with one operation per section.
+makes a ``str`` of a word. The file is a 19-byte header and the words, as
+one UTF-8 block; loading rebuilds the table from them, so the keys never
+leave the process and may change without a change to the file.
 """
 
 from __future__ import annotations
@@ -55,10 +54,9 @@ __all__ = [
 
 UNBOUNDED_SENTINEL = 0xFFFFFFFF
 _MAGIC = b"FSSI"
-_VERSION = 8
-# magic, version, d, m, words byte length W, key count K, id count N and
-# one reserved zero byte, so that the table starts at byte 36
-_HEADER = struct.Struct("<4sHBIQQQB")
+_VERSION = 9
+# magic, version, d, m and the words' byte length W; the words start at byte 19
+_HEADER = struct.Struct("<4sHBIQ")
 
 
 class Dictionary:
@@ -237,7 +235,8 @@ def split_positions(length: int, max_distance: int) -> list[int]:
 
 class FastSSIndex:
     """Immutable residual-key index bound to the dictionary it was built
-    from. Build once, then query from any number of threads.
+    from. Build once, then query from any number of threads. ``build`` and
+    ``from_bytes``, which builds too, are the only ways to make one.
 
     The posting table is three read-only ``uint32`` arrays: ``_keys``, the
     sorted distinct keys; ``_offsets``, one more than the keys; and
@@ -247,27 +246,24 @@ class FastSSIndex:
 
     __slots__ = ("_dictionary", "_params", "_keys", "_offsets", "_ids", "_longest")
 
-    def __init__(self, dictionary: Dictionary, params: IndexParams,
-                 keys: np.ndarray, offsets: np.ndarray, ids: np.ndarray):
-        for column in (keys, offsets, ids):
-            column.flags.writeable = False
-        self._dictionary = dictionary
-        self._params = params
-        self._keys = keys
-        self._offsets = offsets
-        self._ids = ids
-        self._longest = int(np.diff(dictionary.starts).max(initial=1)) - 1
-
     @classmethod
     def build(cls, dictionary: Dictionary, params: IndexParams) -> "FastSSIndex":
         """Index every word's residual keys; words longer than the split
         threshold contribute the keys of their two halves instead.
 
         ``residual_key_pairs`` gives each word's distinct keys with its id,
-        sorted by key, then id; the posting table is read off them."""
+        sorted by key, then id; the posting table is read off them. Raises
+        ValueError, before allocating, for words with 2**32 or more residual
+        states, or a word length whose plan would exceed 2**28 bytes."""
         keys, ids = residual_key_pairs(dictionary.codes, dictionary.starts, params.word_parts)
         offsets = np.flatnonzero(np.append(_run_starts(keys), True)).astype(np.uint32)
-        return cls(dictionary, params, keys[offsets[:-1]], offsets, ids.copy())
+        index = cls.__new__(cls)
+        index._dictionary, index._params = dictionary, params
+        index._keys, index._offsets, index._ids = keys[offsets[:-1]], offsets, ids.copy()
+        for column in (index._keys, index._offsets, index._ids):
+            column.flags.writeable = False
+        index._longest = int(np.diff(dictionary.starts).max(initial=1)) - 1
+        return index
 
     @property
     def dictionary(self) -> Dictionary:
@@ -297,7 +293,7 @@ class FastSSIndex:
         # only encoded, to raise for a lone surrogate as enumeration would.
         if len(query) > self._longest + self._params.max_distance or not len(self._keys):
             query.encode("utf-32-le")
-            return self._ids[:0]
+            return np.empty(0, dtype=np.uint32)
 
         # One product keys every state of every part. A residual that
         # several states or parts share is probed more than once, and its
@@ -340,12 +336,10 @@ class FastSSIndex:
         return list(zip(ids[near[order]].tolist(), distances[order].tolist()))
 
     def __eq__(self, other) -> bool:
+        # The table is a function of the two: every index is built.
         return (isinstance(other, FastSSIndex)
                 and self._dictionary == other._dictionary
-                and self._params == other._params
-                and np.array_equal(self._keys, other._keys)
-                and np.array_equal(self._offsets, other._offsets)
-                and np.array_equal(self._ids, other._ids))
+                and self._params == other._params)
 
     def __repr__(self) -> str:
         return (f"FastSSIndex(d={self._params.max_distance}, "
@@ -355,14 +349,10 @@ class FastSSIndex:
 
     # -- on-disk format ----------------------------------------------------
     #
-    # Little-endian. A 36-byte header: magic "FSSI" | version u16 | d u8 |
-    # m u32 (0xFFFFFFFF = never split) | words byte length W u64 | distinct
-    # key count K u64 | id count N u64 | a reserved zero byte. Then the
-    # posting table as its three arrays, all u32, each at a multiple of 4:
-    # K strictly ascending keys, K + 1 strictly ascending offsets from 0 to
-    # N, and the N word ids, ascending within each key, in key order. Last,
-    # the words, UTF-8, joined by "\n" (W bytes). The version names the
-    # key set: it is determined by the words and (d, m).
+    # Little-endian. A 19-byte header: magic "FSSI" | version u16 | d u8 |
+    # m u32 (0xFFFFFFFF = never split) | words byte length W u64. Then the
+    # words, UTF-8, joined by "\n" (W bytes). Nothing else: a load rebuilds
+    # the posting table from the words and (d, m).
 
     def to_bytes(self) -> bytes:
         d, m = self._params.max_distance, self._params.split_threshold
@@ -371,18 +361,16 @@ class FastSSIndex:
         if m is not None and m >= UNBOUNDED_SENTINEL:
             raise ValueError("split_threshold does not fit the file format (u32)")
         words = _decode(self._dictionary.codes[:-1]).encode("utf-8")
-        header = _HEADER.pack(_MAGIC, _VERSION, d, UNBOUNDED_SENTINEL if m is None else m,
-                              len(words), len(self._keys), len(self._ids), 0)
-        table = (column.astype("<u4", copy=False)
-                 for column in (self._keys, self._offsets, self._ids))
-        return b"".join((header, *table, words))
+        m = UNBOUNDED_SENTINEL if m is None else m
+        return _HEADER.pack(_MAGIC, _VERSION, d, m, len(words)) + words
 
     @classmethod
     def from_bytes(cls, data) -> "FastSSIndex":
         """The index that ``to_bytes`` wrote to ``data``, any bytes-like
-        object. Raises ``IndexFormatError``, naming a byte, for wrong sizes,
-        a non-zero reserved byte, keys or offsets out of order, or word ids
-        out of range or order. The keys are not checked against the words."""
+        object, built again from its words. Raises ``IndexFormatError``,
+        naming a byte, for a bad magic or version, a length other than the
+        header's, words that are not UTF-8 or not a valid ``Dictionary``,
+        or parameters that are invalid or whose build the words refuse."""
         view = memoryview(data).cast("B")
         if view[:4] != _MAGIC:
             raise IndexFormatError(f"bad magic {bytes(view[:4])!r} at byte 0")
@@ -391,81 +379,26 @@ class FastSSIndex:
             raise IndexFormatError(f"unsupported format version {version} at byte 4")
         if len(view) < _HEADER.size:
             raise IndexFormatError(f"truncated header: the data ends at byte {len(view)}")
-        _, _, d, m_raw, words_len, key_count, id_count, reserved = _HEADER.unpack_from(view)
-        m = None if m_raw == UNBOUNDED_SENTINEL else m_raw
-        try:
-            params = IndexParams(d, m)
-        except ValueError as exc:
-            raise IndexFormatError(
-                f"invalid parameters in header at byte 6: {exc}") from exc
-
-        if reserved:
-            raise IndexFormatError(
-                f"the reserved byte at byte {_HEADER.size - 1} is {reserved}, not 0")
-
-        # The one size check: nothing below allocates more than the data holds.
-        keys_at = _HEADER.size
-        offsets_at = keys_at + 4 * key_count
-        ids_at = offsets_at + 4 * (key_count + 1)
-        words_at = ids_at + 4 * id_count
-        end = words_at + words_len
+        _, _, d, m, words_len = _HEADER.unpack_from(view)
+        end = _HEADER.size + words_len
         if end != len(view):
             raise IndexFormatError(
                 f"{'truncated' if end > len(view) else 'trailing bytes'}: the data has "
-                f"{len(view)} bytes, the sizes at byte 11 (words), byte 19 (keys) and "
-                f"byte 27 (ids) give {end}")
+                f"{len(view)} bytes, the words size at byte 11 gives {end}")
         try:
-            text = str(view[words_at:], "utf-8")
+            text = str(view[_HEADER.size:], "utf-8")
         except UnicodeDecodeError as exc:
             raise IndexFormatError(
-                f"words not valid UTF-8 at byte {words_at + exc.start}") from exc
+                f"words not valid UTF-8 at byte {_HEADER.size + exc.start}") from exc
         try:
             dictionary = Dictionary(text.split("\n") if text else [])
         except ValueError as exc:
             raise IndexFormatError(
-                f"invalid dictionary in the words at byte {words_at}: {exc}") from exc
-
-        # Copies into native arrays, so queries never read the file.
-        keys = np.frombuffer(view, "<u4", key_count, keys_at).astype(np.uint32)
-        offsets = np.frombuffer(view, "<u4", key_count + 1, offsets_at).astype(np.uint32)
-        if offsets[0] != 0:
-            raise IndexFormatError(f"the first offset at byte {offsets_at} is {offsets[0]}, not 0")
-        past = np.flatnonzero(offsets > id_count)
-        if past.size:
-            k = int(past[0])
-            raise IndexFormatError(f"offset {k} at byte {offsets_at + 4 * k} runs past "
-                                   f"the {id_count} ids that byte 27 gives")
-        if offsets[-1] != id_count:
-            raise IndexFormatError(f"the last offset at byte {offsets_at + 4 * key_count} "
-                                   f"falls short of the {id_count} ids that byte 27 gives")
-        # Compared, not subtracted: a uint32 difference would wrap.
-        empty = np.flatnonzero(offsets[1:] <= offsets[:-1])
-        if empty.size:
-            k = int(empty[0])
-            raise IndexFormatError(f"key {k} has no ids: offset {k + 1} at byte "
-                                   f"{offsets_at + 4 * (k + 1)} is not above the one before")
-        ids = np.frombuffer(view, "<u4", id_count, ids_at).astype(np.uint32)
-
-        descending = np.flatnonzero(keys[1:] <= keys[:-1])
-        if descending.size:
-            k = descending[0] + 1
-            raise IndexFormatError(
-                f"key {k} not above the previous key at byte {keys_at + 4 * k}")
-        out_of_range = np.flatnonzero(ids >= len(dictionary))
-        if out_of_range.size:
-            i = out_of_range[0]
-            raise IndexFormatError(
-                f"word id {ids[i]} out of range in key "
-                f"{offsets.searchsorted(i, side='right') - 1} at byte {ids_at + 4 * i}")
-        key_starts = np.zeros(len(ids) + 1, dtype=bool)
-        key_starts[offsets] = True
-        unordered = np.flatnonzero((ids[1:] <= ids[:-1]) & ~key_starts[1:-1])
-        if unordered.size:
-            i = unordered[0] + 1
-            raise IndexFormatError(
-                f"word ids not strictly ascending in key "
-                f"{offsets.searchsorted(i, side='right') - 1} at byte {ids_at + 4 * i}")
-        return cls(dictionary, params, keys, offsets, ids)
+                f"invalid dictionary in the words at byte {_HEADER.size}: {exc}") from exc
+        try:
+            return cls.build(dictionary, IndexParams(d, None if m == UNBOUNDED_SENTINEL else m))
+        except ValueError as exc:
+            raise IndexFormatError(f"invalid parameters in header at byte 6: {exc}") from exc
 
 
 def _runs(values: np.ndarray, starts: np.ndarray, stops: np.ndarray

@@ -25,8 +25,8 @@ code points (``residual_keys`` for one part, ``FastSSIndex.candidates``
 for all of them), and ``residual_key_pairs`` one product per word length
 for every word of an index build. ``full_neighborhood`` enumerates the
 residual strings themselves and is the reference both are tested
-against. The key is part of the index file format and must stay
-bit-stable.
+against. Keys never leave the process: an index file holds only the
+words, so the key may change without a change to the file.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ _TAG_OFFSETS = (0x6A09E667, 0xBB67AE85, 0x3C6EF372)
 # so that sorting the pairs sorts by key, then id. These are its key and id
 # halves in memory.
 _KEY_HALF, _ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
+# The largest plan a build makes: 4 bytes per state and character.
+_PLAN_BYTES = 1 << 28
 
 class HalfTag(IntEnum):
     """Key-space tag: selects the offset C[tag] of every residual key."""
@@ -87,9 +89,8 @@ def full_neighborhood(word: str, max_deletions: int) -> set[str]:
 def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     """Keys of the full deletion neighborhood of ``word``: exactly the
     keys of ``full_neighborhood(word, max_deletions)`` under ``tag``, as
-    the module docstring defines them. Deterministic and bit-stable; index
-    files depend on it. Raises UnicodeEncodeError for a word with a lone
-    surrogate.
+    the module docstring defines them. Deterministic. Raises
+    UnicodeEncodeError for a word with a lone surrogate.
 
     The one-part case of ``_residual_plan``: one product of the word's code
     points. Distinct sets of deleted positions can leave equal residuals,
@@ -119,7 +120,8 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     A word of length L contributes the union of ``residual_keys(word[start:
     stop], max_deletions, tag)`` over ``parts(L)``. Raises ValueError,
     before allocating anything, if the states of all words reach 2**32,
-    which a 32-bit id could not count.
+    which a 32-bit id could not count, or if the plan of one word length
+    would take more than 2**28 bytes.
 
     One buffer of packed ``key << 32 | id`` ``uint64`` pairs, sized by the
     states of every word, is allocated once. The words of one length are
@@ -141,6 +143,11 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     if total >= 1 << 32:
         raise ValueError(f"the words have {total:,} residual states; 32-bit ids and "
                          f"offsets count at most {(1 << 32) - 1:,}")
+    for length, width in widths.items():
+        if 4 * width * length > _PLAN_BYTES:
+            raise ValueError(f"a {length}-character word has {width:,} residual states; "
+                             f"their plan would take {4 * width * length:,} bytes, "
+                             f"more than {_PLAN_BYTES:,}")
     pairs = np.empty(total, dtype=np.uint64)
     halves = pairs.view(np.uint32).reshape(-1, 2)
     end = 0

@@ -1,6 +1,8 @@
-"""Shared helpers for randomized tests."""
+"""Shared test helpers: random words and edits, and a stub for the plan maker."""
 
 import random
+
+import fastss.neighborhood
 
 LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
@@ -36,3 +38,17 @@ def random_unique_words(rng: random.Random, count: int, min_len=1, max_len=10,
             seen.add(w)
             out.append(w)
     return out
+
+
+def refuse_plans(monkeypatch) -> list:
+    """Replace the build's plan maker with one that records each length it
+    is asked for and raises, so that no test can make a plan of unbounded
+    size. Returns the list of lengths."""
+    calls = []
+
+    def refuse(length, parts):
+        calls.append(length)
+        raise AssertionError(f"a residual plan was asked for {length} characters")
+
+    monkeypatch.setattr(fastss.neighborhood, "_residual_plan", refuse)
+    return calls

@@ -17,7 +17,7 @@ from fastss.index import (
     split_word,
 )
 from fastss.neighborhood import HalfTag, full_neighborhood, residual_keys
-from helpers import perturb_word, random_unique_words, random_word
+from helpers import perturb_word, random_unique_words, random_word, refuse_plans
 
 
 def naive(dictionary, query, d):
@@ -176,7 +176,7 @@ def test_build_stored_pairs_equal_neighborhood_sizes():
         idx = FastSSIndex.build(Dictionary(words), IndexParams(d))
         assert idx.stats.stored_pairs == sum(
             len(full_neighborhood(w, d)) for w in words)
-        # from_bytes recounts keys and id lists from the serialized table.
+        # from_bytes builds the table again from the words in the file.
         assert FastSSIndex.from_bytes(idx.to_bytes()).stats == idx.stats
 
 
@@ -236,6 +236,22 @@ def test_build_rejects_more_states_than_32_bits_count():
         FastSSIndex.build(Dictionary(["a" * 40]), IndexParams(20))
 
 
+def test_build_rejects_a_plan_beyond_2_28_bytes(monkeypatch):
+    # A plan takes 4 bytes per state and character. One 22-character word
+    # at d=22 has 2**22 states, 369 MB of plan, and is refused before any
+    # plan is made; 2**21 states of 21 characters, 176 MB, are within the
+    # limit. Plans are counted, never made.
+    calls = refuse_plans(monkeypatch)
+    with pytest.raises(ValueError, match=r"^a 22-character word has 4,194,304 residual states; "
+                                         r"their plan would take 369,098,752 bytes, "
+                                         r"more than 268,435,456$"):
+        FastSSIndex.build(Dictionary(["a" * 22]), IndexParams(22))
+    assert calls == []
+    with pytest.raises(AssertionError, match="asked for 21 characters"):
+        FastSSIndex.build(Dictionary(["a" * 21]), IndexParams(21))
+    assert calls == [21]
+
+
 def test_colliding_key_adds_a_candidate_that_verification_removes():
     # 32-bit keys collide: these two words, found by a birthday search over
     # 200k random 6-letter words (random.Random(25)), share their one key at
@@ -283,13 +299,34 @@ def test_query_rejects_lone_surrogate(d, m):
                 query(q)
 
 
+def test_candidates_never_share_the_posting_ids():
+    # An overlong query, and any query of an empty index, get a fresh empty
+    # array, not a view whose base would hand out the posting ids, which a
+    # caller could then make writable.
+    idx = FastSSIndex.build(Dictionary(["abc", "abd"]), IndexParams(1))
+    empty = FastSSIndex.build(Dictionary([]), IndexParams(1))
+    for index, query in ((idx, "q" * 10), (empty, "abc"), (idx, "abx")):
+        ids = index.candidates(query)
+        assert ids.dtype == np.uint32 and ids.base is None
+    assert idx.candidates("q" * 10).tolist() == [] and idx.candidates("abx").tolist() == [0, 1]
+
+
+def test_build_and_from_bytes_are_the_only_constructors():
+    # No constructor takes a table: every index holds the table its own
+    # dictionary and parameters build.
+    idx = FastSSIndex.build(Dictionary(["abc", "abd"]), IndexParams(1))
+    with pytest.raises(TypeError):
+        FastSSIndex(idx.dictionary, idx.params, idx._keys, idx._offsets, idx._ids)
+
+
 def test_table_id_lists_sorted_unique():
     rng = random.Random(12)
     words = random_unique_words(rng, 100, 1, 10, alphabet="ab")
     idx = FastSSIndex.build(Dictionary(words), IndexParams(2, 4))
-    # to_bytes writes every id list as built, and from_bytes raises
-    # IndexFormatError on any list that is not strictly ascending.
-    assert FastSSIndex.from_bytes(idx.to_bytes()) == idx
+    # Each key's ids are strictly ascending, so candidates can merge them
+    # with one sort and drop repeats as equal neighbours.
+    for run in np.split(idx._ids.astype(np.int64), idx._offsets[1:-1]):
+        assert len(run) and (np.diff(run) > 0).all()
 
 
 def test_posting_arrays_are_read_only():
