@@ -253,8 +253,8 @@ class FastSSIndex:
 
         ``residual_key_pairs`` gives each word's distinct keys with its id,
         sorted by key, then id; the posting table is read off them. Raises
-        ValueError, before allocating, for words with 2**32 or more residual
-        states, or a word length whose plan would exceed 2**28 bytes."""
+        ValueError, before allocating, for words whose plans would take more
+        than 2**28 bytes or that have more than 2**24 residual states."""
         keys, ids = residual_key_pairs(dictionary.codes, dictionary.starts, params.word_parts)
         offsets = np.flatnonzero(np.append(_run_starts(keys), True)).astype(np.uint32)
         index = cls.__new__(cls)
@@ -336,10 +336,12 @@ class FastSSIndex:
         return list(zip(ids[near[order]].tolist(), distances[order].tolist()))
 
     def __eq__(self, other) -> bool:
-        # The table is a function of the two: every index is built.
         return (isinstance(other, FastSSIndex)
                 and self._dictionary == other._dictionary
-                and self._params == other._params)
+                and self._params == other._params
+                and np.array_equal(self._keys, other._keys)
+                and np.array_equal(self._offsets, other._offsets)
+                and np.array_equal(self._ids, other._ids))
 
     def __repr__(self) -> str:
         return (f"FastSSIndex(d={self._params.max_distance}, "

@@ -57,8 +57,11 @@ _TAG_OFFSETS = (0x6A09E667, 0xBB67AE85, 0x3C6EF372)
 # so that sorting the pairs sorts by key, then id. These are its key and id
 # halves in memory.
 _KEY_HALF, _ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
-# The largest plan a build makes: 4 bytes per state and character.
+# The most a build makes, whatever its input: plans of at most 2**28 bytes
+# in all, 4 per state and character, and 2**24 residual states, whose pair
+# buffer takes 8 bytes each. Together they bound the load of any file.
 _PLAN_BYTES = 1 << 28
+_MAX_STATES = 1 << 24
 
 class HalfTag(IntEnum):
     """Key-space tag: selects the offset C[tag] of every residual key."""
@@ -120,8 +123,9 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     A word of length L contributes the union of ``residual_keys(word[start:
     stop], max_deletions, tag)`` over ``parts(L)``. Raises ValueError,
     before allocating anything, if the states of all words reach 2**32,
-    which a 32-bit id could not count, or if the plan of one word length
-    would take more than 2**28 bytes.
+    which a 32-bit id could not count, if the plans of all word lengths
+    would take more than 2**28 bytes, or if the words have more than 2**24
+    states.
 
     One buffer of packed ``key << 32 | id`` ``uint64`` pairs, sized by the
     states of every word, is allocated once. The words of one length are
@@ -143,11 +147,15 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     if total >= 1 << 32:
         raise ValueError(f"the words have {total:,} residual states; 32-bit ids and "
                          f"offsets count at most {(1 << 32) - 1:,}")
-    for length, width in widths.items():
-        if 4 * width * length > _PLAN_BYTES:
-            raise ValueError(f"a {length}-character word has {width:,} residual states; "
-                             f"their plan would take {4 * width * length:,} bytes, "
-                             f"more than {_PLAN_BYTES:,}")
+    plan_bytes = {length: 4 * width * length for length, width in widths.items()}
+    if sum(plan_bytes.values()) > _PLAN_BYTES:
+        largest = max(plan_bytes, key=plan_bytes.get)
+        raise ValueError(f"the words' residual plans would take {sum(plan_bytes.values()):,} "
+                         f"bytes, more than {_PLAN_BYTES:,}; the largest, for "
+                         f"{largest}-character words, has {widths[largest]:,} states")
+    if total > _MAX_STATES:
+        raise ValueError(f"the words have {total:,} residual states, more than "
+                         f"{_MAX_STATES:,}; a smaller d or split threshold makes fewer")
     pairs = np.empty(total, dtype=np.uint64)
     halves = pairs.view(np.uint32).reshape(-1, 2)
     end = 0
@@ -156,8 +164,8 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
         states, ids = halves[begin:end, _KEY_HALF], halves[begin:end, _ID_HALF]
         # Assigning the shape raises rather than copy: both stay views.
         states.shape = ids.shape = (len(group), widths[length])
-        ids[...] = group[:, None]
         weights, offsets = _residual_plan(length, tuple(parts(length)))
+        ids[...] = group[:, None]
         np.matmul(codes[starts[group, None] + np.arange(length)], weights.T, out=states)
         states += offsets
     pairs.sort()

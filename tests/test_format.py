@@ -6,6 +6,7 @@ the exhaustive scan of its own words does. A load builds the posting
 table from the words, so no blob can hold keys that disagree with them."""
 
 import hashlib
+import random
 import re
 import struct
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from fastss.baselines import NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary
 from fastss.index import Dictionary, FastSSIndex, IndexFormatError, IndexParams
-from helpers import refuse_plans
+from helpers import random_unique_words, refuse_plans
 
 D_AT, M_AT, WORDS_SIZE_AT, WORDS_AT = 6, 7, 11, 19
 
@@ -86,9 +87,9 @@ def test_every_format_error_names_a_byte():
 
 
 def test_header_d_beyond_the_build_limit_is_refused_before_any_plan(monkeypatch):
-    # One 25-character word at d = 255 has 2**25 states: under the 2**32
-    # state limit, but its plan would take 3.4 GB. The reader names the d
-    # byte without making a plan and without allocating for one.
+    # One 25-character word at d = 255 has 2**25 states, whose plan would
+    # take 3.4 GB. The reader names the d byte without making a plan and
+    # without allocating for one.
     blob = bytearray(FastSSIndex.build(Dictionary(["abcdefghijklmnopqrstuvwxy"]),
                                        IndexParams(0)).to_bytes())
     blob[D_AT] = 255
@@ -96,8 +97,32 @@ def test_header_d_beyond_the_build_limit_is_refused_before_any_plan(monkeypatch)
     tracemalloc.start()
     try:
         with pytest.raises(IndexFormatError,
-                           match=r"^invalid parameters in header at byte 6: a 25-character word "
-                                 r"has 33,554,432 residual states; .* 3,355,443,200 bytes"):
+                           match=r"^invalid parameters in header at byte 6: the words' residual "
+                                 r"plans would take 3,355,443,200 bytes, .* for 25-character "
+                                 r"words, has 33,554,432 states$"):
+            FastSSIndex.from_bytes(bytes(blob))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 1 << 20
+
+
+def test_header_d_that_multiplies_the_states_is_refused_before_any_plan(monkeypatch):
+    # 750 distinct 20-character words, a file of about 16 kB, at d = 20:
+    # 2**20 states each, whose one plan, 84 MB, is within its limit, but
+    # whose pair buffer would take 6.3 GB. The state limit refuses them
+    # before any plan is made or any buffer allocated.
+    words = random_unique_words(random.Random(26), 750, 20, 20)
+    blob = bytearray(FastSSIndex.build(Dictionary(words), IndexParams(0)).to_bytes())
+    assert len(blob) == 19 + 750 * 21 - 1
+    blob[D_AT] = 20
+    calls = refuse_plans(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFormatError,
+                           match=r"^invalid parameters in header at byte 6: the words have "
+                                 r"786,432,000 residual states, more than 16,777,216"):
             FastSSIndex.from_bytes(bytes(blob))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

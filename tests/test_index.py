@@ -242,14 +242,48 @@ def test_build_rejects_a_plan_beyond_2_28_bytes(monkeypatch):
     # plan is made; 2**21 states of 21 characters, 176 MB, are within the
     # limit. Plans are counted, never made.
     calls = refuse_plans(monkeypatch)
-    with pytest.raises(ValueError, match=r"^a 22-character word has 4,194,304 residual states; "
-                                         r"their plan would take 369,098,752 bytes, "
-                                         r"more than 268,435,456$"):
+    with pytest.raises(ValueError, match=r"^the words' residual plans would take 369,098,752 "
+                                         r"bytes, more than 268,435,456; the largest, for "
+                                         r"22-character words, has 4,194,304 states$"):
         FastSSIndex.build(Dictionary(["a" * 22]), IndexParams(22))
     assert calls == []
     with pytest.raises(AssertionError, match="asked for 21 characters"):
         FastSSIndex.build(Dictionary(["a" * 21]), IndexParams(21))
     assert calls == [21]
+
+
+def test_build_rejects_plans_that_together_exceed_2_28_bytes(monkeypatch):
+    # The limit holds for the plans of all word lengths together, since a
+    # build makes and caches one per length. At d=1 a word of 2,000 to 2,016
+    # characters has a plan of about 16 MB; those of 2,000 to 2,015
+    # characters take 258,053,440 bytes together, and one more length
+    # crosses 2**28. Plans are counted, never made.
+    calls = refuse_plans(monkeypatch)
+    with pytest.raises(ValueError, match=r"^the words' residual plans would take 274,318,528 "
+                                         r"bytes, more than 268,435,456; the largest, for "
+                                         r"2016-character words, has 2,017 states$"):
+        FastSSIndex.build(Dictionary(["a" * n for n in range(2000, 2017)]), IndexParams(1))
+    assert calls == []
+    with pytest.raises(AssertionError, match="asked for 2000 characters"):
+        FastSSIndex.build(Dictionary(["a" * n for n in range(2000, 2016)]), IndexParams(1))
+    assert calls == [2000]
+
+
+def test_build_rejects_more_than_2_24_states(monkeypatch):
+    # Each state takes one 8-byte pair. 20-character words at d=20 have
+    # 2**20 states each and a plan of 84 MB: 16 of them reach the limit
+    # and are planned, 17 are refused before any plan is made. Plans are
+    # counted, never made, and the pair buffer is never written.
+    words = random_unique_words(random.Random(24), 17, 20, 20)
+    calls = refuse_plans(monkeypatch)
+    with pytest.raises(ValueError, match=r"^the words have 17,825,792 residual states, "
+                                         r"more than 16,777,216; a smaller d or split "
+                                         r"threshold makes fewer$"):
+        FastSSIndex.build(Dictionary(words), IndexParams(20))
+    assert calls == []
+    with pytest.raises(AssertionError, match="asked for 20 characters"):
+        FastSSIndex.build(Dictionary(words[:16]), IndexParams(20))
+    assert calls == [20]
 
 
 def test_colliding_key_adds_a_candidate_that_verification_removes():
