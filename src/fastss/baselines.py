@@ -90,10 +90,6 @@ class BKTree:
 
     __slots__ = ("_words", "_children")
 
-    def __init__(self, words: tuple[str, ...], children: list[dict[int, int]]):
-        self._words = words
-        self._children = children
-
     @classmethod
     def build(cls, dictionary: Dictionary) -> "BKTree":
         if len(dictionary) == 0:
@@ -105,7 +101,9 @@ class BKTree:
             while node != word_id:  # descend until the word lands as a new child
                 dist = full_edit_distance(words[node], words[word_id])
                 node = children[node].setdefault(dist, word_id)
-        return cls(words, children)
+        tree = cls.__new__(cls)
+        tree._words, tree._children = words, children
+        return tree
 
     def query(self, query: str, max_distance: int) -> tuple[list[Match], int]:
         """Returns (matches sorted by (distance, id), number of distance

@@ -50,25 +50,25 @@ __all__ = [
 _MASK32 = (1 << 32) - 1
 # Knuth's multiplicative-hashing prime, about 2**32 over the golden ratio.
 _P = 0x9E3779B1
-# C[tag]: the first 32 bits of the fractions of the square roots of 2, 3
-# and 5, indexed by HalfTag.
-_TAG_OFFSETS = (0x6A09E667, 0xBB67AE85, 0x3C6EF372)
 # A build packs each (key, word id) pair into one uint64, key << 32 | id,
 # so that sorting the pairs sorts by key, then id. These are its key and id
 # halves in memory.
 _KEY_HALF, _ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
 # The most a build makes, whatever its input: plans of at most 2**28 bytes
 # in all, 4 per state and character, and 2**24 residual states, whose pair
-# buffer takes 8 bytes each. Together they bound the load of any file.
+# buffer takes 8 bytes each. Together they bound the load of any file, and
+# the state limit keeps every id and offset within 32 bits.
 _PLAN_BYTES = 1 << 28
 _MAX_STATES = 1 << 24
 
 class HalfTag(IntEnum):
-    """Key-space tag: selects the offset C[tag] of every residual key."""
+    """Key-space tag, whose value is the offset C[tag] of every residual
+    key under it: the first 32 bits of the fractions of the square roots
+    of 2, 3 and 5."""
 
-    WHOLE = 0x00
-    PREFIX = 0x01
-    SUFFIX = 0x02
+    WHOLE = 0x6A09E667
+    PREFIX = 0xBB67AE85
+    SUFFIX = 0x3C6EF372
 
 
 def full_neighborhood(word: str, max_deletions: int) -> set[str]:
@@ -122,9 +122,8 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
 
     A word of length L contributes the union of ``residual_keys(word[start:
     stop], max_deletions, tag)`` over ``parts(L)``. Raises ValueError,
-    before allocating anything, if the states of all words reach 2**32,
-    which a 32-bit id could not count, if the plans of all word lengths
-    would take more than 2**28 bytes, or if the words have more than 2**24
+    before allocating anything, if the plans of all word lengths would
+    take more than 2**28 bytes, or if the words have more than 2**24
     states.
 
     One buffer of packed ``key << 32 | id`` ``uint64`` pairs, sized by the
@@ -144,9 +143,6 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
                           for start, stop, max_deletions, _ in parts(length))
               for length in groups}
     total = sum(len(group) * widths[length] for length, group in groups.items())
-    if total >= 1 << 32:
-        raise ValueError(f"the words have {total:,} residual states; 32-bit ids and "
-                         f"offsets count at most {(1 << 32) - 1:,}")
     plan_bytes = {length: 4 * width * length for length, width in widths.items()}
     if sum(plan_bytes.values()) > _PLAN_BYTES:
         largest = max(plan_bytes, key=plan_bytes.get)
@@ -224,7 +220,7 @@ def _residual_plan(length: int, parts: tuple[Part, ...]) -> tuple[np.ndarray, np
             kept = np.fromiter(chain.from_iterable(combinations(range(start, stop), width)),
                                np.min_scalar_type(stop), count * width).reshape(count, width)
             weights[np.arange(row, row + count)[:, None], kept] = powers[1:width + 1]
-            offsets[row:row + count] = (_TAG_OFFSETS[tag] + sums[width]) & _MASK32
+            offsets[row:row + count] = (tag + sums[width]) & _MASK32
             row += count
     weights.flags.writeable = offsets.flags.writeable = False
     return weights, offsets

@@ -92,6 +92,9 @@ def test_bk_single_word():
 def test_bk_empty_dictionary_rejected():
     with pytest.raises(ValueError):
         BKTree.build(Dictionary([]))
+    # build is the only constructor: no tree is made from unchecked parts.
+    with pytest.raises(TypeError):
+        BKTree((), [])
 
 
 def test_bk_build_is_deterministic():

@@ -75,11 +75,11 @@ def test_every_format_error_names_a_byte():
         (WORDS_AT + 6, b"c", "duplicate word"),           # "abc" twice
     ]:
         damaged.append((blob[:offset] + value + blob[offset + len(value):], error))
-    # d = 255 over a 40-character word: 2**40 states, which the build
+    # d = 255 over a 40-character word: 2**40 states, whose plan the build
     # refuses from their count.
     long_word = bytearray(FastSSIndex.build(Dictionary(["a" * 40]), IndexParams(0)).to_bytes())
     long_word[D_AT] = 255
-    damaged.append((bytes(long_word), "residual states"))
+    damaged.append((bytes(long_word), "residual plans"))
     for bad, error in damaged:
         with pytest.raises(IndexFormatError, match=r"byte \d+") as raised:
             FastSSIndex.from_bytes(bad)

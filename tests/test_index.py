@@ -228,12 +228,16 @@ def test_build_matches_per_word_residual_keys(d, m):
         assert len(index._offsets) == len(index._keys) + 1
 
 
-def test_build_rejects_more_states_than_32_bits_count():
+def test_build_rejects_more_states_than_32_bits_count(monkeypatch):
     # Packed ids and u32 offsets count fewer than 2**32 pairs. One
-    # 40-character word at d=20 has sum(C(40, k), k <= 20) states; the
-    # build refuses it from that count, before allocating any buffer.
-    with pytest.raises(ValueError, match=r"618,679,078,298 residual states.* 4,294,967,295"):
+    # 40-character word at d=20 has sum(C(40, k), k <= 20) states, far past
+    # both build limits; its plan alone would take 98,988,652,527,680
+    # bytes, and the build refuses it before any plan or buffer is made.
+    calls = refuse_plans(monkeypatch)
+    with pytest.raises(ValueError, match=r"^the words' residual plans would take "
+                                         r"98,988,652,527,680 bytes"):
         FastSSIndex.build(Dictionary(["a" * 40]), IndexParams(20))
+    assert calls == []
 
 
 def test_build_rejects_a_plan_beyond_2_28_bytes(monkeypatch):

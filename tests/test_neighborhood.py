@@ -111,11 +111,11 @@ def test_neighborhood_elements_are_subsequences():
     assert all(w in full_neighborhood(w, d) for w in ("", "a", "abc") for d in (0, 2))
 
 
-def polynomial_key(tag: int, residual: str) -> int:
+def polynomial_key(tag: HalfTag, residual: str) -> int:
     """The residual key by its definition, (C[tag] + sum of (code point
     + 1) * P**(t + 1)) mod 2**32, in Python ints, written out independently
     of the library."""
-    key = (0x6A09E667, 0xBB67AE85, 0x3C6EF372)[tag]
+    key = {"WHOLE": 0x6A09E667, "PREFIX": 0xBB67AE85, "SUFFIX": 0x3C6EF372}[tag.name]
     for t, char in enumerate(residual):
         key += (ord(char) + 1) * pow(0x9E3779B1, t + 1)
     return key % (1 << 32)
