@@ -283,24 +283,31 @@ class FastSSIndex:
 
         Guaranteed to contain every word within ``max_distance`` of the
         query; hash collisions may add extras, which verification removes.
+        A query whose plan would take more than 2**28 bytes probes nothing:
+        its candidates are every word within d characters of its length.
         Raises TypeError for a query that is not a ``str``, and
         UnicodeEncodeError for one with a lone surrogate.
         """
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
+        chars = np.frombuffer(query.encode("utf-32-le"), "<u4")
         # No word matches a query more than d characters longer than the
-        # longest word, so such a query costs nothing to enumerate; it is
-        # only encoded, to raise for a lone surrogate as enumeration would.
-        if len(query) > self._longest + self._params.max_distance or not len(self._keys):
-            query.encode("utf-32-le")
+        # longest word, so such a query costs nothing to enumerate.
+        d = self._params.max_distance
+        if len(query) > self._longest + d or not len(self._keys):
             return np.empty(0, dtype=np.uint32)
 
         # One product keys every state of every part. A residual that
         # several states or parts share is probed more than once, and its
         # ids are then gathered twice; the dedupe below drops them.
         parts = tuple(self._params.query_parts(len(query)))
-        weights, offsets = _residual_plan(len(query), parts)
-        probes = weights @ np.frombuffer(query.encode("utf-32-le"), "<u4") + offsets
+        try:
+            weights, offsets = _residual_plan(len(query), parts)
+        except ValueError:
+            # The words of a length within d of the query's hold every match.
+            lengths = np.diff(self._dictionary.starts) - 1
+            return np.flatnonzero(abs(lengths - len(query)) <= d).astype(np.uint32)
+        probes = weights @ chars + offsets
         rows = self._keys.searchsorted(probes)
         rows = rows[self._keys.take(rows, mode="clip") == probes]
         ids = np.sort(_runs(self._ids, self._offsets[rows], self._offsets[rows + 1])[0])

@@ -57,7 +57,8 @@ _KEY_HALF, _ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
 # The most a build makes, whatever its input: plans of at most 2**28 bytes
 # in all, 4 per state and character, and 2**24 residual states, whose pair
 # buffer takes 8 bytes each. Together they bound the load of any file, and
-# the state limit keeps every id and offset within 32 bits.
+# the state limit keeps every id and offset within 32 bits. Each plan a
+# query makes is held to 2**28 bytes as well.
 _PLAN_BYTES = 1 << 28
 _MAX_STATES = 1 << 24
 
@@ -93,7 +94,8 @@ def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     """Keys of the full deletion neighborhood of ``word``: exactly the
     keys of ``full_neighborhood(word, max_deletions)`` under ``tag``, as
     the module docstring defines them. Deterministic. Raises
-    UnicodeEncodeError for a word with a lone surrogate.
+    UnicodeEncodeError for a word with a lone surrogate, and ValueError
+    for one whose plan would take more than 2**28 bytes.
 
     The one-part case of ``_residual_plan``: one product of the word's code
     points. Distinct sets of deleted positions can leave equal residuals,
@@ -200,14 +202,19 @@ def _residual_plan(length: int, parts: tuple[Part, ...]) -> tuple[np.ndarray, np
     character and ``c`` ``uint32``; both are read-only, as queries and
     builds share the cached entries. A part's states are taken by deletion
     count, each count's sets of kept positions in lexicographic order.
+    Raises ValueError, before allocating, for a plan of more than 2**28
+    bytes.
     """
+    rows = sum(_state_count(stop - start, k) for start, stop, k, _ in parts)
+    if 4 * rows * length > _PLAN_BYTES:
+        raise ValueError(f"a residual plan of {rows:,} states for {length} characters would "
+                         f"take {4 * rows * length:,} bytes, more than {_PLAN_BYTES:,}")
     # powers[t] = P**t; sums[n] = sum of P**(t + 1) for t < n, the + 1
     # terms of n characters.
     powers, sums = [1], [0]
     for _ in range(length):
         powers.append(powers[-1] * _P & _MASK32)
         sums.append((sums[-1] + powers[-1]) & _MASK32)
-    rows = sum(_state_count(stop - start, k) for start, stop, k, _ in parts)
     weights = np.zeros((rows, length), dtype=np.uint32)
     offsets = np.empty(rows, dtype=np.uint32)
     row = 0

@@ -80,3 +80,23 @@ def test_every_local_is_read():
                        if isinstance(node.ctx, ast.Store) and not node.id.startswith("_")
                        and node.id not in read}
     assert not unread, sorted(unread)
+
+
+def test_every_parameter_is_read():
+    # A parameter that a function never reads is dead code in its signature.
+    # Reads in nested functions count; ``self``, ``cls`` and ``_``-prefixed
+    # names are exempt.
+    unread = set()
+    for path in sorted((ROOT / "src" / "fastss").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                arg for arg in (args.vararg, args.kwarg) if arg]
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread |= {f"{path.name}:{func.lineno} {func.name}({arg.arg})" for arg in params
+                       if arg.arg not in ("self", "cls") and not arg.arg.startswith("_")
+                       and arg.arg not in read}
+    assert not unread, sorted(unread)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fastss.baselines import NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary
 from fastss.index import Dictionary, FastSSIndex, IndexFormatError, IndexParams
+from fastss.neighborhood import HalfTag, residual_keys
 from helpers import random_unique_words, refuse_plans
 
 D_AT, M_AT, WORDS_SIZE_AT, WORDS_AT = 6, 7, 11, 19
@@ -128,6 +129,29 @@ def test_header_d_that_multiplies_the_states_is_refused_before_any_plan(monkeypa
     finally:
         tracemalloc.stop()
     assert calls == []
+    assert peak < 1 << 20
+
+
+def test_header_d_past_every_query_plan_answers_as_the_scan():
+    # The one-word "abc" file at d = 20 loads (8 states) and admits queries
+    # of up to 23 characters, whose plan would have 8,388,331 rows and take
+    # 771,726,452 bytes. The plan is refused; the words within d characters
+    # of the query's length are verified instead, as the scan does.
+    blob = bytearray(FastSSIndex.build(Dictionary(["abc"]), IndexParams(0)).to_bytes())
+    blob[D_AT] = 20
+    index = FastSSIndex.from_bytes(bytes(blob))
+    scanner = NaiveScanner(index.dictionary)
+    tracemalloc.start()
+    try:
+        answers = [index.search(q) for q in ("abc" + "z" * 20, "z" * 23)]
+        with pytest.raises(ValueError, match=r"^a residual plan of 1,073,741,824 states for 30 "
+                                             r"characters would take 128,849,018,880 bytes"):
+            residual_keys("a" * 30, 30, HalfTag.WHOLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == [scanner.scan("abc" + "z" * 20, 20), scanner.scan("z" * 23, 20)]
+    assert answers == [[(0, 20)], []]
     assert peak < 1 << 20
 
 
