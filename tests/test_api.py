@@ -63,22 +63,27 @@ def test_every_definition_is_used_outside_the_tests():
     assert defined <= used, sorted(defined - used)
 
 
+def package_functions():
+    """Each function of the package, with its file and the names it reads,
+    reads in nested functions included."""
+    for path in sorted((ROOT / "src" / "fastss").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, func, {node.id for node in ast.walk(func) if isinstance(node, ast.Name)
+                                   and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_local_is_read():
     # A local name that a function assigns but never reads is dead code.
     # Reads in nested functions count, an augmented assignment reads its
     # target, and ``_``-prefixed names are exempt.
     unread = set()
-    for path in sorted((ROOT / "src" / "fastss").glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
-            read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
-            read |= {node.target.id for node in ast.walk(func)
-                     if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
-            unread |= {f"{path.name}:{node.lineno} {node.id}" for node in names
-                       if isinstance(node.ctx, ast.Store) and not node.id.startswith("_")
-                       and node.id not in read}
+    for path, func, read in package_functions():
+        read |= {node.target.id for node in ast.walk(func)
+                 if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+        unread |= {f"{path.name}:{node.lineno} {node.id}" for node in ast.walk(func)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                   and not node.id.startswith("_") and node.id not in read}
     assert not unread, sorted(unread)
 
 
@@ -87,16 +92,11 @@ def test_every_parameter_is_read():
     # Reads in nested functions count; ``self``, ``cls`` and ``_``-prefixed
     # names are exempt.
     unread = set()
-    for path in sorted((ROOT / "src" / "fastss").glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = func.args
-            params = args.posonlyargs + args.args + args.kwonlyargs + [
-                arg for arg in (args.vararg, args.kwarg) if arg]
-            read = {node.id for node in ast.walk(func)
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            unread |= {f"{path.name}:{func.lineno} {func.name}({arg.arg})" for arg in params
-                       if arg.arg not in ("self", "cls") and not arg.arg.startswith("_")
-                       and arg.arg not in read}
+    for path, func, read in package_functions():
+        args = func.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            arg for arg in (args.vararg, args.kwarg) if arg]
+        unread |= {f"{path.name}:{func.lineno} {func.name}({arg.arg})" for arg in params
+                   if arg.arg not in ("self", "cls") and not arg.arg.startswith("_")
+                   and arg.arg not in read}
     assert not unread, sorted(unread)
