@@ -6,27 +6,23 @@ word followed by a line break, and every layer reads them from there.
 Every dictionary word contributes the keys of the residuals of its
 deletion neighborhood; a query probes the same keys and verifies all
 surviving candidates in one bit-parallel pass over their words gathered
-from that array, one lane per word and its line break. Words longer than the
-splitting threshold m are instead stored as two halves of floor(d/2) edits
-each, which shrinks the index dramatically, while queries compensate by
-probing several split positions. ``IndexParams.word_parts`` and
-``IndexParams.query_parts`` are that plan.
+from that array with their line breaks, which mark the kernel's lanes.
+Words longer than the splitting threshold m are instead stored as two
+halves of floor(d/2) edits each, which shrinks the index dramatically,
+while queries compensate by probing several split positions.
+``IndexParams.word_parts`` and ``IndexParams.query_parts`` are that plan.
 
-The posting table is three flat, read-only ``uint32`` arrays: the sorted
-distinct keys, offsets into the id array, and the word ids of each key in
-ascending order. Keys are linear in the code points, so one cached plan
-per length and parts, ``_residual_plan``, turns them into one matrix
-product. A build keys every word of one length with one product,
-straight from the code points, into one buffer of packed ``key << 32 |
-id`` pairs, sorts it in place, by key, then id, drops each word's
-repeated keys and sorts again; a query keys every part it probes with
-one product of its code points and looks them all up with one binary
-search. ``candidates`` returns the ids as one ascending array, and
-``search`` keeps them in it up to the match list, so
-no Python code runs once per candidate: only a match becomes a Python
-object, a plain ``(word_id, distance)`` tuple; neither build nor search
-makes a ``str`` of a word. The file is a 19-byte header and the words, as
-one UTF-8 block; loading rebuilds the table from them, so the keys never
+Keys are linear in the code points, so one cached plan per length and
+parts, ``_residual_plan``, turns them into one matrix product: a build
+keys every word of one length with one product (``residual_key_pairs``)
+into the posting table, and a query keys every part it probes with one
+product of its code points and looks them all up with one binary search
+of its sorted keys. ``candidates`` returns the ids as one ascending
+array, and ``search`` keeps them in it up to the match list, so no Python
+code runs once per candidate: only a match becomes a Python object, a
+plain ``(word_id, distance)`` tuple; neither build nor search makes a
+``str`` of a word. The file is a 19-byte header and the words, as one
+UTF-8 block; loading rebuilds the table from them, so the keys never
 leave the process and may change without a change to the file.
 """
 
@@ -308,9 +304,10 @@ class FastSSIndex:
             lengths = np.diff(self._dictionary.starts) - 1
             return np.flatnonzero(abs(lengths - len(query)) <= d).astype(np.uint32)
         probes = weights @ chars + offsets
+        probes.sort()  # sorted probes walk the keys in order
         rows = self._keys.searchsorted(probes)
         rows = rows[self._keys.take(rows, mode="clip") == probes]
-        ids = np.sort(_runs(self._ids, self._offsets[rows], self._offsets[rows + 1])[0])
+        ids = np.sort(_runs(self._ids, self._offsets.take(rows), self._offsets.take(rows + 1))[0])
         return ids[_run_starts(ids)]
 
     def search(self, query: str) -> list[tuple[int, int]]:
@@ -329,18 +326,18 @@ class FastSSIndex:
         the dictionary's code points: each word and its line break."""
         if not len(ids):
             return []
-        starts = self._dictionary.starts
-        codes, lanes = _runs(self._dictionary.codes, starts[ids], starts[1:][ids])
+        at, starts = ids.astype(np.intp), self._dictionary.starts
+        codes, lanes = _runs(self._dictionary.codes, starts.take(at), starts.take(at + 1))
         distances = lane_distances(query, codes, lanes)
         d = self._params.max_distance
         near = np.flatnonzero(distances <= d)
         # Every distance left is at most d, so the narrowest type that holds
         # d holds them all; numpy's stable sort of an 8- or 16-bit key is a
         # radix sort, and it keeps the ascending ids within a distance.
-        distances = distances[near].astype(np.min_scalar_type(d))
+        distances = distances.take(near).astype(np.min_scalar_type(d))
         order = distances.argsort(kind="stable")
         # Plain tuples of ints, which the garbage collector stops tracking.
-        return list(zip(ids[near[order]].tolist(), distances[order].tolist()))
+        return list(zip(at.take(near.take(order)).tolist(), distances.take(order).tolist()))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FastSSIndex)
@@ -413,14 +410,16 @@ class FastSSIndex:
 def _runs(values: np.ndarray, starts: np.ndarray, stops: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray]:
     """The runs ``values[starts[i]:stops[i]]`` back to back, gathered with
-    one index array, and where each run begins in them. The runs may come
-    in any order; the arithmetic is signed, so unsigned bounds do not wrap."""
-    lengths = np.subtract(stops, starts, dtype=np.int64)
-    begins = lengths.cumsum() - lengths
+    one ``take`` of an intp index, which numpy does without a cast, and
+    where each run begins in them. The runs may come in any order; the
+    arithmetic is signed, so unsigned bounds do not wrap."""
+    lengths = np.subtract(stops, starts, dtype=np.intp)
+    begins = np.add.accumulate(lengths) - lengths
     # The j-th value gathered is values[j + shift], where shift is its run's
     # start minus the lengths of the runs before it.
-    shifts = np.repeat(starts - begins, lengths)
-    return values[np.arange(len(shifts)) + shifts], begins
+    index = np.repeat(starts - begins, lengths)
+    index += np.arange(len(index))
+    return values.take(index), begins
 
 
 class IndexFormatError(ValueError):

@@ -32,6 +32,7 @@ words, so the key may change without a change to the file.
 from __future__ import annotations
 
 import sys
+import threading
 from enum import IntEnum
 from functools import lru_cache
 from itertools import chain, combinations
@@ -58,9 +59,10 @@ _KEY_HALF, _ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
 # in all, 4 per state and character, and 2**24 residual states, whose pair
 # buffer takes 8 bytes each. Together they bound the load of any file, and
 # the state limit keeps every id and offset within 32 bits. Each plan a
-# query makes is held to 2**28 bytes as well.
+# query makes, and the plans cached at once, are held to 2**28 bytes as well.
 _PLAN_BYTES = 1 << 28
 _MAX_STATES = 1 << 24
+_cached_plan_bytes, _plan_lock = 0, threading.Lock()  # see _residual_plan
 
 class HalfTag(IntEnum):
     """Key-space tag, whose value is the offset C[tag] of every residual
@@ -203,12 +205,21 @@ def _residual_plan(length: int, parts: tuple[Part, ...]) -> tuple[np.ndarray, np
     builds share the cached entries. A part's states are taken by deletion
     count, each count's sets of kept positions in lexicographic order.
     Raises ValueError, before allocating, for a plan of more than 2**28
-    bytes.
+    bytes. Only a miss runs this body, and it counts the bytes of the plans
+    it caches: one that would take them past 2**28 clears the cache first.
+    An eviction leaves the count as it is, so it clears early, never late.
     """
+    global _cached_plan_bytes
     rows = sum(_state_count(stop - start, k) for start, stop, k, _ in parts)
-    if 4 * rows * length > _PLAN_BYTES:
+    size = 4 * rows * length
+    if size > _PLAN_BYTES:
         raise ValueError(f"a residual plan of {rows:,} states for {length} characters would "
-                         f"take {4 * rows * length:,} bytes, more than {_PLAN_BYTES:,}")
+                         f"take {size:,} bytes, more than {_PLAN_BYTES:,}")
+    with _plan_lock:
+        if _cached_plan_bytes + size > _PLAN_BYTES:
+            _residual_plan.cache_clear()
+            _cached_plan_bytes = 0
+        _cached_plan_bytes += size
     # powers[t] = P**t; sums[n] = sum of P**(t + 1) for t < n, the + 1
     # terms of n characters.
     powers, sums = [1], [0]

@@ -175,3 +175,23 @@ def test_batch_words_with_line_breaks_and_nul():
     for _ in range(60):
         query = random_word(rng, 8, "ab\n\x00")
         assert_batch_agrees(query, [random_word(rng, 12, "ab\x00") for _ in range(8)])
+
+
+def test_line_break_lanes_take_every_carry():
+    # The kernel reads its lanes off the line breaks. Runs of empty words,
+    # an empty first and last lane (in two batches of three), one-letter
+    # words and words longer than 64 characters, all of one letter, so that
+    # a query of that letter carries out of every word's top row into its
+    # spare bit; some queries hold a line break, which matches no row.
+    rng = random.Random(15)
+    for letter in "a\x00é\U0001F600":
+        for batch in range(12):
+            words = [""] * (batch % 3 > 0)
+            for _ in range(rng.randint(1, 12)):
+                words += rng.choice([[""] * rng.randint(1, 4), [letter],
+                                     [letter * rng.randint(2, 64)],
+                                     [letter * rng.randint(65, 140)]])
+            words += [""] * (batch % 3 > 0)
+            for query in (letter, letter * rng.randint(2, 150), "", "\n",
+                          letter * 3 + "\n" + letter * 70, "b" + letter * rng.randint(0, 80)):
+                assert_batch_agrees(query, words)

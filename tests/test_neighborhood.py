@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
 import pytest
 
+import fastss.neighborhood
 from fastss.bench import bundled_words_path, load_dictionary
 from fastss.distance import full_edit_distance
 from fastss.index import Dictionary, FastSSIndex, IndexParams
@@ -228,6 +230,26 @@ def test_deletion_layout_cache_is_safe_to_evict():
     _residual_plan.cache_clear()
     assert {w: before.candidates(w).tolist() for w in queries} == candidates
     assert {(w, k): residual_keys(w, k, HalfTag.WHOLE) for w, k in recorded} == recorded
+
+
+def test_plan_cache_is_bounded_by_bytes(monkeypatch):
+    # The cached plans take at most _PLAN_BYTES together: a miss that would
+    # pass it clears the cache first. With the bound at 1 MiB, 40 plans of
+    # 160 to 229 kB (7.8 MB together) leave at most 1 MiB of plans held, as
+    # tracemalloc counts it; the cache alone would keep all 40.
+    monkeypatch.setattr(fastss.neighborhood, "_PLAN_BYTES", 1 << 20)
+    _residual_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = sum(_residual_plan(n, ((0, n, 1, HalfTag.WHOLE),))[0].nbytes
+                   for n in range(200, 240))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        _residual_plan.cache_clear()
+    assert made == sum(4 * (n + 1) * n for n in range(200, 240)) > 7 << 20
+    assert held < (1 << 20) + (64 << 10)
 
 
 def test_shared_residual_filter_soundness():
