@@ -20,6 +20,7 @@ from .index import (
     IndexFormatError,
     IndexParams,
     Match,
+    Matches,
     split_positions,
     split_word,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "IndexFormatError",
     "IndexParams",
     "Match",
+    "Matches",
     "NaiveScanner",
     "bundled_words_path",
     "expected_candidates",

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .baselines import BKTree, NaiveScanner
-from .index import Dictionary, FastSSIndex, IndexParams
+from .index import Dictionary, FastSSIndex, IndexParams, Match, Matches
 
 __all__ = [
     "QueryCase",
@@ -149,7 +149,7 @@ def perturb(dictionary: Dictionary, count: int, max_errors: int, seed: int) -> W
 
 
 def run_benchmark(dictionary: Dictionary, params: IndexParams, workload: Workload,
-                  dataset: str = "", expected: Sequence[list[tuple[int, int]]] | None = None
+                  dataset: str = "", expected: Sequence[list[Match]] | None = None
                   ) -> BenchReport:
     """Build an index, answer the whole workload, and cross-check every
     result against the exhaustive scan. ``expected`` holds the scan's
@@ -184,14 +184,14 @@ def compare_baselines(dictionary: Dictionary, max_distance: int, workload: Workl
         for m in (None, split_at)]
 
 
-def _index_answer(index: FastSSIndex, query: str) -> tuple[list[tuple[int, int]], int]:
+def _index_answer(index: FastSSIndex, query: str) -> tuple[Matches, int]:
     # What search does, with the candidates kept for the count.
     ids = index.candidates(query)
     return index._verify(query, ids), len(ids)
 
 
 def _measure(method, build, answer, dictionary, workload, *, d, m=None, dataset,
-             reference=None) -> tuple[BenchReport, list[list[tuple[int, int]]]]:
+             reference=None) -> tuple[BenchReport, list[Matches | list[Match]]]:
     """Time ``build()``, then ``answer(built, query)`` on each query: its
     matches and the work they took (candidates or distance computations).
     Every answer must equal ``reference``'s, when that is given. Returns

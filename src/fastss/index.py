@@ -18,12 +18,13 @@ keys every word of one length with one product (``residual_key_pairs``)
 into the posting table, and a query keys every part it probes with one
 product of its code points and looks them all up with one binary search
 of its sorted keys. ``candidates`` returns the ids as one ascending
-array, and ``search`` keeps them in it up to the match list, so no Python
-code runs once per candidate: only a match becomes a Python object, a
-plain ``(word_id, distance)`` tuple; neither build nor search makes a
-``str`` of a word. The file is a 19-byte header and the words, as one
-UTF-8 block; loading rebuilds the table from them, so the keys never
-leave the process and may change without a change to the file.
+array, and ``search`` keeps them in arrays to the end: its answer,
+``Matches``, is the matching ids and their distances as two arrays, so no
+Python code runs and no Python object is made once per candidate or per
+match; neither build nor search makes a ``str`` of a word. The file is a
+19-byte header and the words, as one UTF-8 block; loading rebuilds the
+table from them, so the keys never leave the process and may change
+without a change to the file.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "IndexParams",
     "IndexStats",
     "Match",
+    "Matches",
     "FastSSIndex",
     "IndexFormatError",
     "split_word",
@@ -199,6 +201,50 @@ class Match(NamedTuple):
     distance: int
 
 
+class Matches:
+    """The answer of ``FastSSIndex.search``: ``word_ids``, an ``intp``
+    array, and ``distances``, the narrowest unsigned dtype that holds the
+    index's d, sorted by (distance, word id). Both arrays are the answer's
+    own, complete when ``search`` returns.
+
+    It reads as a sequence of plain ``(word_id, distance)`` pairs of ints:
+    iterating converts both arrays with one ``tolist`` each, an int index
+    gives one pair and a slice gives a ``Matches`` of copies. It equals
+    another ``Matches`` with equal arrays, and any other iterable, such as
+    the list of ``Match`` that ``NaiveScanner.scan`` returns, with the same
+    pairs in the same order.
+    """
+
+    __slots__ = ("word_ids", "distances")
+
+    def __init__(self, word_ids: np.ndarray, distances: np.ndarray):
+        self.word_ids, self.distances = word_ids, distances
+
+    def __len__(self) -> int:
+        return len(self.word_ids)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.word_ids.tolist(), self.distances.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Matches(self.word_ids[index].copy(), self.distances[index].copy())
+        return int(self.word_ids[index]), int(self.distances[index])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Matches):
+            return (np.array_equal(self.word_ids, other.word_ids)
+                    and np.array_equal(self.distances, other.distances))
+        try:
+            pairs = list(other)
+        except TypeError:  # not iterable
+            return NotImplemented
+        return list(self) == pairs
+
+    def __repr__(self) -> str:
+        return f"Matches(word_ids={self.word_ids!r}, distances={self.distances!r})"
+
+
 def split_word(word: str) -> tuple[str, str]:
     """Split into (first ceil(len/2) characters, remainder). The halves
     differ in length by at most one, longer half first."""
@@ -310,22 +356,22 @@ class FastSSIndex:
         ids = np.sort(_runs(self._ids, self._offsets.take(rows), self._offsets.take(rows + 1))[0])
         return ids[_run_starts(ids)]
 
-    def search(self, query: str) -> list[tuple[int, int]]:
-        """All dictionary words within ``max_distance`` of the query, as
-        plain ``(word_id, distance)`` tuples sorted by (distance, word id).
-        Exactly the naive-scan result set; each pair compares equal to the
-        scan's ``Match``. Raises TypeError for a query that is not a ``str``."""
+    def search(self, query: str) -> Matches:
+        """All dictionary words within ``max_distance`` of the query, as a
+        ``Matches`` of their ids and distances sorted by (distance, word
+        id). Exactly the naive-scan result set: it compares equal to the
+        scan's list of ``Match``. Raises TypeError for a query that is not
+        a ``str``."""
         return self._verify(query, self.candidates(query))
 
-    def _verify(self, query: str, ids: np.ndarray) -> list[tuple[int, int]]:
+    def _verify(self, query: str, ids: np.ndarray) -> Matches:
         """The words among the ascending candidate ``ids`` (an array)
-        within ``max_distance`` of the query, as ``(word_id, distance)``
-        tuples sorted by (distance, word id).
+        within ``max_distance`` of the query, as a ``Matches`` sorted by
+        (distance, word id), built from fresh arrays.
 
         The candidates are verified in one kernel call over their lanes of
-        the dictionary's code points: each word and its line break."""
-        if not len(ids):
-            return []
+        the dictionary's code points: each word and its line break. An
+        empty ``ids`` runs the same calls and gives an empty answer."""
         at, starts = ids.astype(np.intp), self._dictionary.starts
         codes, lanes = _runs(self._dictionary.codes, starts.take(at), starts.take(at + 1))
         distances = lane_distances(query, codes, lanes)
@@ -336,8 +382,7 @@ class FastSSIndex:
         # radix sort, and it keeps the ascending ids within a distance.
         distances = distances.take(near).astype(np.min_scalar_type(d))
         order = distances.argsort(kind="stable")
-        # Plain tuples of ints, which the garbage collector stops tracking.
-        return list(zip(at.take(near.take(order)).tolist(), distances.take(order).tolist()))
+        return Matches(at.take(near.take(order)), distances.take(order))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FastSSIndex)

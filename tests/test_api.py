@@ -5,8 +5,8 @@ from pathlib import Path
 import fastss
 
 PUBLIC = {
-    "Dictionary", "FastSSIndex", "IndexParams", "IndexFormatError", "Match",
-    "split_word", "split_positions",
+    "Dictionary", "FastSSIndex", "IndexParams", "IndexFormatError",
+    "Match", "Matches", "split_word", "split_positions",
     "full_neighborhood", "residual_keys",
     "NaiveScanner", "BKTree",
     "full_edit_distance",

@@ -1,17 +1,19 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fastss.index
 from fastss.baselines import NaiveScanner
-from fastss.bench import bundled_words_path, load_dictionary
+from fastss.bench import bundled_words_path, load_dictionary, perturb
 from fastss.distance import full_edit_distance, lane_distances
 from fastss.index import (
     Dictionary,
     FastSSIndex,
     IndexParams,
     Match,
+    Matches,
     _runs,
     split_positions,
     split_word,
@@ -722,3 +724,65 @@ def test_overlong_query_enumerates_nothing(monkeypatch):
     for (d, m), idx in indexes.items():
         for q in ["q" * 120, "y" * (len(longest) + d + 1)]:
             assert idx.search(q) == [] == scanner.scan(q, d), (q, d, m)
+
+
+@pytest.mark.parametrize("d, m", [(2, None), (3, 7)], ids=["d2", "d3-m7"])
+def test_search_returns_matches_of_fresh_arrays(d, m):
+    # The answer is two arrays equal to the scan's, in (distance, id)
+    # order, that read as a sequence of plain int pairs and share no memory
+    # with the dictionary or the posting table.
+    dictionary = load_dictionary(bundled_words_path())
+    idx = FastSSIndex.build(dictionary, IndexParams(d, m))
+    scanner = NaiveScanner(dictionary)
+    held = [dictionary.codes, dictionary.starts, idx._keys, idx._offsets, idx._ids]
+    for case in perturb(dictionary, 12, d, seed=29).cases:
+        answer = idx.search(case.query)
+        assert isinstance(answer, Matches)
+        assert answer.word_ids.dtype == np.intp and answer.distances.dtype == np.uint8
+        expected = scanner.scan(case.query, d)
+        assert np.array_equal(answer.word_ids, [match.word_id for match in expected])
+        assert np.array_equal(answer.distances, [match.distance for match in expected])
+        order = np.lexsort((answer.word_ids, answer.distances))
+        assert np.array_equal(order, np.arange(len(answer))), case.query
+        assert not any(np.shares_memory(array, other)
+                       for array in (answer.word_ids, answer.distances) for other in held)
+
+        pairs = list(answer)
+        assert len(answer) == len(pairs) == len(expected) and bool(answer)
+        assert all(type(i) is int and type(k) is int for i, k in pairs)
+        assert answer[0] == pairs[0] and answer[-1] == pairs[-1]
+        assert type(answer[0][0]) is int and type(answer[0][1]) is int
+        rest = answer[1:]
+        assert isinstance(rest, Matches) and list(rest) == pairs[1:]
+        assert rest != answer and rest != expected and rest == expected[1:]
+        # Equal answers need equal distances, not only equal ids.
+        assert answer == Matches(answer.word_ids.copy(), answer.distances.copy())
+        assert answer != Matches(answer.word_ids, answer.distances + 1)
+        assert answer != [(i, k + 1) for i, k in pairs]
+
+    overlong = "q" * 200
+    nothing = "q" * 10  # no word shares a residual with it
+    assert not len(idx.candidates(overlong)) and not len(idx.candidates(nothing))
+    for query in (overlong, nothing):
+        answer = idx.search(query)
+        assert not answer and len(answer) == 0 and list(answer) == []
+        assert answer == [] == scanner.scan(query, d)
+        assert answer.word_ids.dtype == np.intp and answer.distances.dtype == np.uint8
+        assert answer == Matches(np.empty(0, np.intp), np.empty(0, np.uint8))
+
+
+def test_large_answer_holds_no_object_per_match():
+    # At (3, 7), "ab" is within 3 edits of thousands of bundled words; its
+    # answer must hold about the bytes of its two arrays, not a Python
+    # object per match.
+    idx = FastSSIndex.build(load_dictionary(bundled_words_path()), IndexParams(3, 7))
+    idx.search("ab")  # caches the query's residual plan
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        answer = idx.search("ab")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(answer) >= 1000
+    assert held <= 16 * len(answer), (held, len(answer))
