@@ -29,8 +29,8 @@ for m in [None, 16, 12, 10, 8, 7, 6, 5, 4, 3, 2]:
     build_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    for case in workload.cases:
-        index.search(case.query)
+    for query in workload.queries:
+        index.search(query)
     query_us = (time.perf_counter() - start) / len(workload) * 1e6
 
     pairs = index.stats.stored_pairs

@@ -14,13 +14,12 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .baselines import BKTree, NaiveScanner
 from .index import Dictionary, FastSSIndex, IndexParams, Match, Matches
 
 __all__ = [
-    "QueryCase",
     "Workload",
     "BenchReport",
     "LosslessnessError",
@@ -40,22 +39,16 @@ CSV_HEADER = ("dataset", "n", "d", "m", "stored_pairs", "distinct_keys",
               "method", "seed")
 
 
-class QueryCase(NamedTuple):
-    query: str
-    source_id: int
-    edits: int
-
-
 @dataclass(frozen=True)
 class Workload:
     """Reproducible query set: perturbed dictionary entries plus the seed
     that generated them."""
 
     seed: int
-    cases: tuple[QueryCase, ...]
+    queries: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.cases)
+        return len(self.queries)
 
 
 @dataclass(frozen=True)
@@ -128,12 +121,10 @@ def perturb(dictionary: Dictionary, count: int, max_errors: int, seed: int) -> W
         raise ValueError(f"count ({count}) and max_errors ({max_errors}) "
                          "must be non-negative")
     rng = random.Random(seed)
-    cases = []
+    queries = []
     for _ in range(count):
-        source_id = rng.randrange(len(dictionary))
-        word = dictionary[source_id]
-        edits = rng.randint(0, max_errors)
-        for _ in range(edits):
+        word = dictionary[rng.randrange(len(dictionary))]
+        for _ in range(rng.randint(0, max_errors)):
             op = rng.choice("ids") if word else "i"
             if op == "i":
                 pos = rng.randint(0, len(word))
@@ -144,8 +135,8 @@ def perturb(dictionary: Dictionary, count: int, max_errors: int, seed: int) -> W
             else:
                 pos = rng.randrange(len(word))
                 word = word[:pos] + rng.choice(LOWERCASE) + word[pos + 1:]
-        cases.append(QueryCase(word, source_id, edits))
-    return Workload(seed, tuple(cases))
+        queries.append(word)
+    return Workload(seed, tuple(queries))
 
 
 def run_benchmark(dictionary: Dictionary, params: IndexParams, workload: Workload,
@@ -158,7 +149,7 @@ def run_benchmark(dictionary: Dictionary, params: IndexParams, workload: Workloa
     d = params.max_distance
     if expected is None:
         scanner = NaiveScanner(dictionary)
-        expected = [scanner.scan(case.query, d) for case in workload.cases]
+        expected = [scanner.scan(query, d) for query in workload.queries]
     report, _ = _measure("fastss", lambda: FastSSIndex.build(dictionary, params),
                          _index_answer, dictionary, workload, d=d,
                          m=params.split_threshold, dataset=dataset, reference=expected)
@@ -201,16 +192,16 @@ def _measure(method, build, answer, dictionary, workload, *, d, m=None, dataset,
     build_ms = (time.perf_counter() - start) * 1e3
     times_us, answers, work = [], [], 0
     expected = [None] * len(workload) if reference is None else reference
-    for case, want in zip(workload.cases, expected, strict=True):
+    for query, want in zip(workload.queries, expected, strict=True):
         start = time.perf_counter()
-        matches, cost = answer(built, case.query)
+        matches, cost = answer(built, query)
         times_us.append((time.perf_counter() - start) * 1e6)
         answers.append(matches)
         work += cost
         if want is not None and matches != want:
             raise LosslessnessError(
                 f"{method} disagrees with the exhaustive scan for query "
-                f"{case.query!r} (d={d}, m={m}, seed={workload.seed})")
+                f"{query!r} (d={d}, m={m}, seed={workload.seed})")
     stats = getattr(built, "stats", None)  # only an index has a table
     count = max(len(workload), 1)
     return BenchReport(

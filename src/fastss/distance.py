@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["full_edit_distance", "lane_distances"]
+__all__ = ["full_edit_distance"]
 
 
 def full_edit_distance(a: str, b: str) -> int:

@@ -36,7 +36,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .distance import lane_distances
-from .neighborhood import HalfTag, Part, _residual_plan, _run_starts, residual_key_pairs
+from .neighborhood import (HalfTag, Part, _PlanTooLarge, _residual_plan, _run_starts,
+                           residual_key_pairs)
 
 __all__ = [
     "Dictionary",
@@ -345,7 +346,7 @@ class FastSSIndex:
         parts = tuple(self._params.query_parts(len(query)))
         try:
             weights, offsets = _residual_plan(len(query), parts)
-        except ValueError:
+        except _PlanTooLarge:
             # The words of a length within d of the query's hold every match.
             lengths = np.diff(self._dictionary.starts) - 1
             return np.flatnonzero(abs(lengths - len(query)) <= d).astype(np.uint32)
@@ -448,8 +449,9 @@ class FastSSIndex:
                 f"invalid dictionary in the words at byte {_HEADER.size}: {exc}") from exc
         try:
             return cls.build(dictionary, IndexParams(d, None if m == UNBOUNDED_SENTINEL else m))
-        except ValueError as exc:
-            raise IndexFormatError(f"invalid parameters in header at byte 6: {exc}") from exc
+        except ValueError as exc:  # m = 0 is the only threshold IndexParams refuses
+            raise IndexFormatError(f"invalid parameters in header at byte "
+                                   f"{7 if m == 0 else 6}: {exc}") from exc
 
 
 def _runs(values: np.ndarray, starts: np.ndarray, stops: np.ndarray

@@ -45,7 +45,6 @@ __all__ = [
     "HalfTag",
     "full_neighborhood",
     "residual_keys",
-    "residual_key_pairs",
 ]
 
 _MASK32 = (1 << 32) - 1
@@ -195,6 +194,10 @@ def _state_count(length: int, max_deletions: int) -> int:
     return sum(comb(length, k) for k in range(min(length, max_deletions) + 1))
 
 
+class _PlanTooLarge(ValueError):
+    """A plan of more than 2**28 bytes, which ``_residual_plan`` refuses."""
+
+
 @lru_cache(maxsize=128)
 def _residual_plan(length: int, parts: tuple[Part, ...]) -> tuple[np.ndarray, np.ndarray]:
     """``(W, c)``, such that ``W @ chars + c`` are the keys of every state
@@ -204,7 +207,7 @@ def _residual_plan(length: int, parts: tuple[Part, ...]) -> tuple[np.ndarray, np
     character and ``c`` ``uint32``; both are read-only, as queries and
     builds share the cached entries. A part's states are taken by deletion
     count, each count's sets of kept positions in lexicographic order.
-    Raises ValueError, before allocating, for a plan of more than 2**28
+    Raises ``_PlanTooLarge``, before allocating, for a plan of more than 2**28
     bytes. Only a miss runs this body, and it counts the bytes of the plans
     it caches: one that would take them past 2**28 clears the cache first.
     An eviction leaves the count as it is, so it clears early, never late.
@@ -213,8 +216,8 @@ def _residual_plan(length: int, parts: tuple[Part, ...]) -> tuple[np.ndarray, np
     rows = sum(_state_count(stop - start, k) for start, stop, k, _ in parts)
     size = 4 * rows * length
     if size > _PLAN_BYTES:
-        raise ValueError(f"a residual plan of {rows:,} states for {length} characters would "
-                         f"take {size:,} bytes, more than {_PLAN_BYTES:,}")
+        raise _PlanTooLarge(f"a residual plan of {rows:,} states for {length} characters "
+                            f"would take {size:,} bytes, more than {_PLAN_BYTES:,}")
     with _plan_lock:
         if _cached_plan_bytes + size > _PLAN_BYTES:
             _residual_plan.cache_clear()

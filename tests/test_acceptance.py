@@ -67,12 +67,12 @@ def test_criterion_1_losslessness(random_dictionary, bundled_dictionary,
     for name, dictionary, scanner in datasets:
         for d in (0, 1, 2, 3):
             workload = perturb(dictionary, 500, d, seed=SEED + d)
-            expected = [scanner.scan(case.query, d) for case in workload.cases]
+            expected = [scanner.scan(query, d) for query in workload.queries]
             for m in (None, 8, 10):
                 index = FastSSIndex.build(dictionary, IndexParams(d, m))
-                for case, reference in zip(workload.cases, expected):
-                    got = index.search(case.query)
-                    assert got == reference, (name, case.query, d, m)
+                for query, reference in zip(workload.queries, expected):
+                    got = index.search(query)
+                    assert got == reference, (name, query, d, m)
                     checks += 1
     assert checks == 2 * 4 * 3 * 500
     return f"{checks} query comparisons, 0 mismatches"
@@ -178,12 +178,12 @@ def test_criterion_6_baseline_gap(bundled_dictionary):
     workload = perturb(bundled_dictionary, queries, d, seed=SEED + 40)
     bk_total = 0
     fastss_total = 0
-    for case in workload.cases:
-        bk_matches, computations = tree.query(case.query, d)
+    for query in workload.queries:
+        bk_matches, computations = tree.query(query, d)
         bk_total += computations
-        candidates = index.candidates(case.query)
+        candidates = index.candidates(query)
         fastss_total += len(candidates)
-        assert bk_matches == index.search(case.query)
+        assert bk_matches == index.search(query)
     bk_mean = bk_total / queries
     fastss_mean = fastss_total / queries
     assert bk_mean >= 10 * fastss_mean, (bk_mean, fastss_mean)

@@ -13,7 +13,7 @@ from fastss.bench import (
     run_benchmark,
     write_csv,
 )
-from fastss.distance import full_edit_distance
+from fastss.baselines import NaiveScanner
 from fastss.index import Dictionary, FastSSIndex, IndexParams
 from helpers import random_unique_words
 
@@ -81,9 +81,8 @@ def test_bundled_word_list_loads():
 def test_perturb_zero_errors_is_identity(small_dictionary):
     workload = perturb(small_dictionary, 50, 0, seed=1)
     assert len(workload) == 50
-    for case in workload.cases:
-        assert case.query == small_dictionary[case.source_id]
-        assert case.edits == 0
+    assert all(isinstance(query, str) for query in workload.queries)
+    assert set(workload.queries) <= set(small_dictionary.words)
 
 
 def test_perturb_deterministic(small_dictionary):
@@ -96,10 +95,10 @@ def test_perturb_deterministic(small_dictionary):
 
 def test_perturb_stays_within_distance(small_dictionary):
     workload = perturb(small_dictionary, 300, 3, seed=7)
-    for case in workload.cases:
-        source = small_dictionary[case.source_id]
-        # k edits can cancel out to fewer, never compose to more
-        assert full_edit_distance(source, case.query) <= case.edits <= 3
+    scanner = NaiveScanner(small_dictionary)
+    for query in workload.queries:
+        # at most 3 edits from the word it was drawn from
+        assert scanner.scan(query, 3), query
 
 
 def test_perturb_rejects_empty_dictionary():
@@ -172,7 +171,7 @@ def test_compare_baselines_scans_each_query_once(small_dictionary, monkeypatch):
 
     monkeypatch.setattr(baselines.NaiveScanner, "scan", counted)
     compare_baselines(small_dictionary, 2, workload)
-    assert calls == [case.query for case in workload.cases]
+    assert calls == list(workload.queries)
 
 
 def test_csv_schema(tmp_path, small_dictionary):
@@ -226,9 +225,9 @@ def test_run_benchmark_computes_candidates_once_per_query(small_dictionary, monk
 
     monkeypatch.setattr(index_module.FastSSIndex, "candidates", counted)
     report = run_benchmark(small_dictionary, IndexParams(2), workload)
-    assert calls == [case.query for case in workload.cases]
+    assert calls == list(workload.queries)
     index = FastSSIndex.build(small_dictionary, IndexParams(2))
-    total = sum(len(original(index, case.query)) for case in workload.cases)
+    total = sum(len(original(index, query)) for query in workload.queries)
     assert report.mean_cand == total / len(workload)
 
 

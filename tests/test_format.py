@@ -69,7 +69,7 @@ def test_every_format_error_names_a_byte():
                (blob[:-1], "truncated: the data has")]
     for offset, value, error in [
         (4, b"\x08\x00", "unsupported format version"),
-        (M_AT, b"\x00" * 4, "invalid parameters"),        # split threshold 0
+        (M_AT, b"\x00" * 4, "invalid parameters in header at byte 7"),  # m = 0
         (WORDS_SIZE_AT, b"\x0c", "truncated: the data has"),  # W one more
         (WORDS_AT + 1, b"\xff", "not valid UTF-8"),
         (WORDS_AT, b"\n", "empty word"),

@@ -726,6 +726,22 @@ def test_overlong_query_enumerates_nothing(monkeypatch):
             assert idx.search(q) == [] == scanner.scan(q, d), (q, d, m)
 
 
+def test_only_a_refused_plan_sends_a_query_to_the_length_window(monkeypatch):
+    # A plan over its byte budget is answered from the words within d
+    # characters of the query's length. Any other error of the plan maker,
+    # such as numpy's for a shape mismatch, must surface from search, not
+    # turn every query into a scan of that window.
+    idx = FastSSIndex.build(Dictionary(["abc", "abd", "xyz"]), IndexParams(1))
+
+    def broken(length, parts):
+        raise ValueError("shape mismatch")
+
+    monkeypatch.setattr(fastss.index, "_residual_plan", broken)
+    for query in ("abc", "xy"):
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            idx.search(query)
+
+
 @pytest.mark.parametrize("d, m", [(2, None), (3, 7)], ids=["d2", "d3-m7"])
 def test_search_returns_matches_of_fresh_arrays(d, m):
     # The answer is two arrays equal to the scan's, in (distance, id)
@@ -735,15 +751,15 @@ def test_search_returns_matches_of_fresh_arrays(d, m):
     idx = FastSSIndex.build(dictionary, IndexParams(d, m))
     scanner = NaiveScanner(dictionary)
     held = [dictionary.codes, dictionary.starts, idx._keys, idx._offsets, idx._ids]
-    for case in perturb(dictionary, 12, d, seed=29).cases:
-        answer = idx.search(case.query)
+    for query in perturb(dictionary, 12, d, seed=29).queries:
+        answer = idx.search(query)
         assert isinstance(answer, Matches)
         assert answer.word_ids.dtype == np.intp and answer.distances.dtype == np.uint8
-        expected = scanner.scan(case.query, d)
+        expected = scanner.scan(query, d)
         assert np.array_equal(answer.word_ids, [match.word_id for match in expected])
         assert np.array_equal(answer.distances, [match.distance for match in expected])
         order = np.lexsort((answer.word_ids, answer.distances))
-        assert np.array_equal(order, np.arange(len(answer))), case.query
+        assert np.array_equal(order, np.arange(len(answer))), query
         assert not any(np.shares_memory(array, other)
                        for array in (answer.word_ids, answer.distances) for other in held)
 
