@@ -22,9 +22,7 @@ reports = compare_baselines(dictionary, d, workload, dataset="demo6k")
 
 print(f"{'method':<8} {'m':>4} {'examined/query':>15} {'mean query':>11} {'build':>9}")
 for r in reports:
-    m = "inf" if r.m is None else r.m
-    m = m if r.method == "fastss" else "-"
-    print(f"{r.method:<8} {m:>4} {r.mean_cand:>15.1f} "
+    print(f"{r.method:<8} {r.m_label or '-':>4} {r.mean_cand:>15.1f} "
           f"{r.mean_query_us:>9.0f}us {r.build_ms:>7.0f}ms")
 
 write_csv(reports, "baseline_report.csv")

@@ -73,9 +73,9 @@ class NaiveScanner:
         """All words within ``max_distance``, sorted by (distance, id)."""
         dists = self.distances(query)
         hits = np.flatnonzero(dists <= max_distance)
-        matches = [Match(int(i), int(dists[i])) for i in hits]
-        matches.sort(key=lambda match: (match.distance, match.word_id))
-        return matches
+        near = dists.take(hits)
+        order = near.argsort(kind="stable")  # keeps the ascending ids within a distance
+        return list(map(Match, hits.take(order).tolist(), near.take(order).tolist()))
 
 
 class BKTree:

@@ -69,15 +69,18 @@ class BenchReport:
     method: str
     seed: int
 
+    @property
+    def m_label(self) -> str:
+        """The split threshold as reports print it: ``inf`` if unsplit, blank for a baseline."""
+        if self.method != "fastss":
+            return ""
+        return "inf" if self.m is None else str(self.m)
+
     def csv_row(self) -> list[str]:
-        if self.method == "fastss":
-            m_field = "inf" if self.m is None else str(self.m)
-        else:
-            m_field = ""
         pairs = "" if self.stored_pairs is None else str(self.stored_pairs)
         keys = "" if self.distinct_keys is None else str(self.distinct_keys)
         return [
-            self.dataset, str(self.n), str(self.d), m_field, pairs, keys,
+            self.dataset, str(self.n), str(self.d), self.m_label, pairs, keys,
             f"{self.build_ms:.3f}", f"{self.mean_query_us:.3f}",
             f"{self.mean_cand:.6f}", f"{self.mean_matches:.6f}",
             self.method, str(self.seed),

@@ -53,22 +53,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="query word")
     p.set_defaults(handler=_cmd_query)
 
-    p = sub.add_parser("bench", help="benchmark the index on perturbed queries")
-    p.add_argument("--dict", required=True)
-    p.add_argument("--d", type=int, required=True)
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument("--dict", required=True)
+    workload.add_argument("--d", type=int, required=True)
+    workload.add_argument("--queries", type=int, default=1000)
+    workload.add_argument("--seed", type=int, default=42)
+    workload.add_argument("--csv", help="write the report rows to this CSV file")
+
+    p = sub.add_parser("bench", parents=[workload],
+                       help="benchmark the index on perturbed queries")
     _add_split_options(p, required=False)
-    p.add_argument("--queries", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--csv", help="write the report row to this CSV file")
     p.set_defaults(handler=_cmd_bench)
 
-    p = sub.add_parser("compare",
+    p = sub.add_parser("compare", parents=[workload],
                        help="benchmark naive scan, BK-tree and both index variants")
-    p.add_argument("--dict", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--queries", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--csv", help="write report rows to this CSV file")
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("expect", help="expected candidate count for a random dictionary")
@@ -144,13 +142,8 @@ def _cmd_expect(args) -> int:
 
 def _output(reports, csv_path) -> None:
     for r in reports:
-        if r.method == "fastss":
-            m_text = "inf" if r.m is None else str(r.m)
-            size = f" pairs={r.stored_pairs} keys={r.distinct_keys}"
-        else:
-            m_text = "-"
-            size = ""
-        print(f"{r.method:<7} d={r.d} m={m_text:<4} n={r.n}{size} "
+        size = f" pairs={r.stored_pairs} keys={r.distinct_keys}" if r.method == "fastss" else ""
+        print(f"{r.method:<7} d={r.d} m={r.m_label or '-':<4} n={r.n}{size} "
               f"build={r.build_ms:.1f}ms query={r.mean_query_us:.1f}us "
               f"(median {r.median_query_us:.1f}us) cand={r.mean_cand:.2f} "
               f"matches={r.mean_matches:.3f} seed={r.seed}")

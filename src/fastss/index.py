@@ -296,8 +296,7 @@ class FastSSIndex:
 
         ``residual_key_pairs`` gives each word's distinct keys with its id,
         sorted by key, then id; the posting table is read off them. Raises
-        ValueError, before allocating, for words whose plans would take more
-        than 2**28 bytes or that have more than 2**24 residual states."""
+        ValueError, before allocating, for words past its plan or state limits."""
         keys, ids = residual_key_pairs(dictionary.codes, dictionary.starts, params.word_parts)
         offsets = np.flatnonzero(np.append(_run_starts(keys), True)).astype(np.uint32)
         index = cls.__new__(cls)

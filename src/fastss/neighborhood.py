@@ -54,13 +54,17 @@ _P = 0x9E3779B1
 # so that sorting the pairs sorts by key, then id. These are its key and id
 # halves in memory.
 _KEY_HALF, _ID_HALF = (1, 0) if sys.byteorder == "little" else (0, 1)
-# The most a build makes, whatever its input: plans of at most 2**28 bytes
-# in all, 4 per state and character, and 2**24 residual states, whose pair
-# buffer takes 8 bytes each. Together they bound the load of any file, and
-# the state limit keeps every id and offset within 32 bits. Each plan a
-# query makes, and the plans cached at once, are held to 2**28 bytes as well.
+# The most a build makes: plans of at most 2**28 bytes in all, 4 per state
+# and character, and max(2**24, 256 per code point of input) residual
+# states, but never 2**32, so that ids and offsets stay 32-bit. A state
+# takes one 8-byte pair: 256 keep the buffer within 2 KiB per code point.
+# The bundled list asks for 1.0, 4.2, 12.4 and 28.5 states per code point
+# at d 1 to 4 unsplit and about 96 at d=6; 750 20-character words at d=20,
+# a hostile 16 kB file, ask for about 50,000. Each plan a query makes, and
+# the plans cached at once, are held to 2**28 bytes as well.
 _PLAN_BYTES = 1 << 28
 _MAX_STATES = 1 << 24
+_STATES_PER_CODE_POINT = 256
 _cached_plan_bytes, _plan_lock = 0, threading.Lock()  # see _residual_plan
 
 class HalfTag(IntEnum):
@@ -126,8 +130,8 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
     A word of length L contributes the union of ``residual_keys(word[start:
     stop], max_deletions, tag)`` over ``parts(L)``. Raises ValueError,
     before allocating anything, if the plans of all word lengths would
-    take more than 2**28 bytes, or if the words have more than 2**24
-    states.
+    take more than 2**28 bytes, or if the words have more than
+    max(2**24, 256 * len(codes)) states, or 2**32 or more.
 
     One buffer of packed ``key << 32 | id`` ``uint64`` pairs, sized by the
     states of every word, is allocated once. The words of one length are
@@ -152,9 +156,10 @@ def residual_key_pairs(codes: np.ndarray, starts: np.ndarray,
         raise ValueError(f"the words' residual plans would take {sum(plan_bytes.values()):,} "
                          f"bytes, more than {_PLAN_BYTES:,}; the largest, for "
                          f"{largest}-character words, has {widths[largest]:,} states")
-    if total > _MAX_STATES:
+    max_states = min(max(_MAX_STATES, _STATES_PER_CODE_POINT * len(codes)), (1 << 32) - 1)
+    if total > max_states:
         raise ValueError(f"the words have {total:,} residual states, more than "
-                         f"{_MAX_STATES:,}; a smaller d or split threshold makes fewer")
+                         f"{max_states:,}; a smaller d or split threshold makes fewer")
     pairs = np.empty(total, dtype=np.uint64)
     halves = pairs.view(np.uint32).reshape(-1, 2)
     end = 0

@@ -1,10 +1,13 @@
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import fastss.index
+import fastss.neighborhood
 from fastss.baselines import NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary, perturb
 from fastss.distance import full_edit_distance, lane_distances
@@ -18,8 +21,9 @@ from fastss.index import (
     split_positions,
     split_word,
 )
-from fastss.neighborhood import HalfTag, full_neighborhood, residual_keys
-from helpers import perturb_word, random_unique_words, random_word, refuse_plans
+from fastss.neighborhood import (HalfTag, _residual_plan, _state_count, full_neighborhood,
+                                 residual_keys)
+from helpers import LOWERCASE, perturb_word, random_unique_words, random_word, refuse_plans
 
 
 def naive(dictionary, query, d):
@@ -290,6 +294,45 @@ def test_build_rejects_more_than_2_24_states(monkeypatch):
     with pytest.raises(AssertionError, match="asked for 20 characters"):
         FastSSIndex.build(Dictionary(words[:16]), IndexParams(20))
     assert calls == [20]
+
+
+def test_build_admits_states_in_proportion_to_its_input(monkeypatch):
+    # The state limit is max(2**24, 256 per code point). 200,000 distinct
+    # random words with the bundled list's length mix have about 21 M states
+    # at d=3 unsplit, past 2**24 but about 13 per code point: they pass the
+    # check and reach the plans. 750 20-character words at d=20 ask for about
+    # 50,000 per code point and are refused before any plan. Plans are
+    # counted, never made, and the pair buffer is never written.
+    bundled = load_dictionary(bundled_words_path()).words
+    rng = random.Random(12)
+    words = {}
+    while len(words) < 200_000:
+        words["".join(rng.choices(LOWERCASE, k=len(rng.choice(bundled))))] = None
+    dictionary = Dictionary(list(words))
+    assert sum(_state_count(len(word), 3) for word in dictionary) > 1 << 24
+    calls = refuse_plans(monkeypatch)
+    with pytest.raises(AssertionError, match="a residual plan was asked for"):
+        FastSSIndex.build(dictionary, IndexParams(3))
+    assert len(calls) == 1
+    hostile = Dictionary(random_unique_words(random.Random(26), 750, 20, 20))
+    with pytest.raises(ValueError, match=r"^the words have 786,432,000 residual states, "
+                                         r"more than 16,777,216; "):
+        FastSSIndex.build(hostile, IndexParams(20))
+    assert len(calls) == 1
+
+
+def test_build_refuses_2_32_states_whatever_the_input(monkeypatch):
+    # Ids and offsets are 32-bit, so 2**32 states are refused even where the
+    # limit per code point would admit them. 4,096 20-character words at
+    # d=20 have 2**20 states each, 2**32 in all. Plans are counted, never
+    # made, and the pair buffer is never allocated.
+    monkeypatch.setattr(fastss.neighborhood, "_STATES_PER_CODE_POINT", 1 << 40)
+    words = random_unique_words(random.Random(32), 4096, 20, 20)
+    calls = refuse_plans(monkeypatch)
+    with pytest.raises(ValueError, match=r"^the words have 4,294,967,296 residual states, "
+                                         r"more than 4,294,967,295; "):
+        FastSSIndex.build(Dictionary(words), IndexParams(20))
+    assert calls == []
 
 
 def test_colliding_key_adds_a_candidate_that_verification_removes():
@@ -785,6 +828,31 @@ def test_search_returns_matches_of_fresh_arrays(d, m):
         assert answer == [] == scanner.scan(query, d)
         assert answer.word_ids.dtype == np.intp and answer.distances.dtype == np.uint8
         assert answer == Matches(np.empty(0, np.intp), np.empty(0, np.uint8))
+
+
+def test_one_index_answers_alike_from_four_threads(monkeypatch):
+    # An index may be queried from any number of threads. Four threads run
+    # the same 300 queries on one index while the plan cache clears under
+    # them: the bound of 50,000 bytes is above the largest of their 16
+    # plans (9,440 bytes) and below all of them together (54,192 bytes).
+    index = FastSSIndex.build(load_dictionary(bundled_words_path()), IndexParams(3, 7))
+    queries = perturb(index.dictionary, 300, 3, seed=5).queries
+    expected = [index.search(query) for query in queries]
+    monkeypatch.setattr(fastss.neighborhood, "_PLAN_BYTES", 50_000)
+    _residual_plan.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            answers = list(pool.map(lambda _: [index.search(q) for q in queries], range(4),
+                                    timeout=60))
+        info = _residual_plan.cache_info()
+    finally:
+        sys.setswitchinterval(interval)
+        _residual_plan.cache_clear()
+    assert answers == [expected] * 4
+    # A clear resets the count, so fewer than the 1,200 lookups are left.
+    assert info.hits + info.misses < 4 * len(queries)
 
 
 def test_large_answer_holds_no_object_per_match():
