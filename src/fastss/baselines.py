@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .distance import full_edit_distance
-from .index import Dictionary, Match
+from .index import Dictionary, Match, Matches
+from .neighborhood import _code_points
 
 __all__ = ["NaiveScanner", "BKTree"]
 
@@ -47,8 +48,6 @@ class NaiveScanner:
         is the narrowest that holds ±(len(query) + 1), whatever the word
         lengths. Raises TypeError for a query that is not a ``str``.
         """
-        if not isinstance(query, str):
-            raise TypeError(f"query must be str, not {type(query).__name__}")
         width, n = self._matrix.shape
         dtype = np.min_scalar_type(-len(query) - 2)
         # shifted row for the empty query prefix: D(0, j) - j = 0
@@ -56,7 +55,7 @@ class NaiveScanner:
         staged = np.empty_like(row)
         vertical = np.empty((width, n), dtype=dtype)
         same = np.empty(self._matrix.shape, dtype=bool)
-        for i, qc in enumerate(np.frombuffer(query.encode("utf-32-le"), np.uint32), 1):
+        for i, qc in enumerate(_code_points(query), 1):
             # in shifted space: diagonal costs -1 on equal characters and
             # 0 otherwise, deleting the query character costs +1, and an
             # insertion run costs 0, so it becomes a running minimum.
@@ -70,12 +69,11 @@ class NaiveScanner:
         return row[self._lengths, np.arange(n)] + self._lengths
 
     def scan(self, query: str, max_distance: int) -> list[Match]:
-        """All words within ``max_distance``, sorted by (distance, id)."""
+        """All words within ``max_distance``, sorted by (distance, id), as a
+        list of ``Match``."""
         dists = self.distances(query)
-        hits = np.flatnonzero(dists <= max_distance)
-        near = dists.take(hits)
-        order = near.argsort(kind="stable")  # keeps the ascending ids within a distance
-        return list(map(Match, hits.take(order).tolist(), near.take(order).tolist()))
+        matches = Matches._within(np.arange(len(dists)), dists, max_distance)
+        return list(map(Match, matches.word_ids.tolist(), matches.distances.tolist()))
 
 
 class BKTree:
@@ -105,24 +103,22 @@ class BKTree:
         tree._words, tree._children = words, children
         return tree
 
-    def query(self, query: str, max_distance: int) -> tuple[list[Match], int]:
-        """Returns (matches sorted by (distance, id), number of distance
-        computations performed). The computation count is the traversal's
+    def query(self, query: str, max_distance: int) -> tuple[Matches, int]:
+        """Returns (the ``Matches`` within ``max_distance``, as
+        ``FastSSIndex.search`` gives them, number of nodes visited). Each
+        visit computes one distance, so the count is the traversal's
         search-space size, comparable to a candidate-set size. Raises
         TypeError for a query that is not a ``str``."""
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
-        matches = []
-        computations = 0
+        visited = {}  # node: its distance to the query
         stack = [0]
         while stack:
             node = stack.pop()
-            dist = full_edit_distance(self._words[node], query)
-            computations += 1
-            if dist <= max_distance:
-                matches.append(Match(node, dist))
+            dist = visited[node] = full_edit_distance(self._words[node], query)
             low, high = dist - max_distance, dist + max_distance
             stack.extend(child for label, child in self._children[node].items()
                          if low <= label <= high)
-        matches.sort(key=lambda match: (match.distance, match.word_id))
-        return matches, computations
+        nodes, distances = zip(*sorted(visited.items()))  # the root is always visited
+        return (Matches._within(np.array(nodes, dtype=np.intp), np.array(distances), max_distance),
+                len(visited))

@@ -36,8 +36,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .distance import lane_distances
-from .neighborhood import (HalfTag, Part, _PlanTooLarge, _residual_plan, _run_starts,
-                           residual_key_pairs)
+from .neighborhood import (HalfTag, Part, _code_points, _PlanTooLarge, _read_only,
+                           _residual_plan, _run_starts, residual_key_pairs)
 
 __all__ = [
     "Dictionary",
@@ -66,7 +66,8 @@ class Dictionary:
     ``"\n".join(words) + "\n"`` in the narrowest unsigned dtype that holds
     them (``uint8`` for ASCII), with ``starts``, where word i begins, and
     ``len(codes)`` last, so that ``codes[starts[i]:starts[i + 1]]`` is word i
-    and its ``"\n"``. Both arrays are read-only. The words are decoded as
+    and its ``"\n"``. Both arrays are read-only views (``_read_only``),
+    which cannot be made writable again. The words are decoded as
     ``str`` only when asked for. Raises UnicodeEncodeError for a word with
     a lone surrogate, which has no code point to store.
     """
@@ -95,12 +96,11 @@ class Dictionary:
                 if w in seen:
                     raise ValueError(f"duplicate word {w!r} at position {i}")
                 seen.add(w)
-        codes = np.frombuffer((text + "\n" if words else "").encode("utf-32-le"), "<u4")
+        codes = _code_points(text + "\n" if words else "")
         codes = codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
         starts = np.zeros(len(words) + 1, dtype=np.int64)
         starts[1:] = np.flatnonzero(codes == 10) + 1
-        codes.flags.writeable = starts.flags.writeable = False
-        self._codes, self._starts = codes, starts
+        self._codes, self._starts = _read_only(codes), _read_only(starts)
 
     @property
     def codes(self) -> np.ndarray:
@@ -203,10 +203,11 @@ class Match(NamedTuple):
 
 
 class Matches:
-    """The answer of ``FastSSIndex.search``: ``word_ids``, an ``intp``
-    array, and ``distances``, the narrowest unsigned dtype that holds the
-    index's d, sorted by (distance, word id). Both arrays are the answer's
-    own, complete when ``search`` returns.
+    """The answer of ``FastSSIndex.search`` and ``BKTree.query``:
+    ``word_ids``, an ``intp`` array, and ``distances``, the narrowest
+    unsigned dtype that holds the d asked for, sorted by (distance, word
+    id). Both arrays are the answer's own, writable and complete when the
+    search returns; every searcher builds it with ``_within``.
 
     It reads as a sequence of plain ``(word_id, distance)`` pairs of ints:
     iterating converts both arrays with one ``tolist`` each, an int index
@@ -220,6 +221,19 @@ class Matches:
 
     def __init__(self, word_ids: np.ndarray, distances: np.ndarray):
         self.word_ids, self.distances = word_ids, distances
+
+    @classmethod
+    def _within(cls, ids: np.ndarray, distances: np.ndarray, max_distance: int) -> "Matches":
+        """The answer of every searcher: of the ascending ``ids`` and their
+        ``distances``, the ones within ``max_distance``, in fresh arrays,
+        sorted by (distance, word id)."""
+        near = np.flatnonzero(distances <= max_distance)
+        # Every distance left is at most d, so the narrowest type that holds
+        # d holds them all; numpy's stable sort of an 8- or 16-bit key is a
+        # radix sort, and it keeps the ascending ids within a distance.
+        distances = distances.take(near).astype(np.min_scalar_type(max_distance))
+        order = distances.argsort(kind="stable")
+        return cls(ids.take(near.take(order)), distances.take(order))
 
     def __len__(self) -> int:
         return len(self.word_ids)
@@ -281,10 +295,11 @@ class FastSSIndex:
     from. Build once, then query from any number of threads. ``build`` and
     ``from_bytes``, which builds too, are the only ways to make one.
 
-    The posting table is three read-only ``uint32`` arrays: ``_keys``, the
-    sorted distinct keys; ``_offsets``, one more than the keys; and
-    ``_ids``, where ``_ids[_offsets[i]:_offsets[i + 1]]`` are the ascending
-    ids of the words that have key ``_keys[i]``.
+    The posting table is three read-only views (``_read_only``) of
+    ``uint32`` arrays: ``_keys``, the sorted distinct keys; ``_offsets``,
+    one more than the keys; and ``_ids``, where
+    ``_ids[_offsets[i]:_offsets[i + 1]]`` are the ascending ids of the
+    words that have key ``_keys[i]``.
     """
 
     __slots__ = ("_dictionary", "_params", "_keys", "_offsets", "_ids", "_longest")
@@ -301,9 +316,8 @@ class FastSSIndex:
         offsets = np.flatnonzero(np.append(_run_starts(keys), True)).astype(np.uint32)
         index = cls.__new__(cls)
         index._dictionary, index._params = dictionary, params
-        index._keys, index._offsets, index._ids = keys[offsets[:-1]], offsets, ids.copy()
-        for column in (index._keys, index._offsets, index._ids):
-            column.flags.writeable = False
+        index._keys, index._offsets, index._ids = (
+            _read_only(keys[offsets[:-1]]), _read_only(offsets), _read_only(ids.copy()))
         index._longest = int(np.diff(dictionary.starts).max(initial=1)) - 1
         return index
 
@@ -330,9 +344,7 @@ class FastSSIndex:
         Raises TypeError for a query that is not a ``str``, and
         UnicodeEncodeError for one with a lone surrogate.
         """
-        if not isinstance(query, str):
-            raise TypeError(f"query must be str, not {type(query).__name__}")
-        chars = np.frombuffer(query.encode("utf-32-le"), "<u4")
+        chars = _code_points(query)
         # No word matches a query more than d characters longer than the
         # longest word, so such a query costs nothing to enumerate.
         d = self._params.max_distance
@@ -374,15 +386,8 @@ class FastSSIndex:
         empty ``ids`` runs the same calls and gives an empty answer."""
         at, starts = ids.astype(np.intp), self._dictionary.starts
         codes, lanes = _runs(self._dictionary.codes, starts.take(at), starts.take(at + 1))
-        distances = lane_distances(query, codes, lanes)
-        d = self._params.max_distance
-        near = np.flatnonzero(distances <= d)
-        # Every distance left is at most d, so the narrowest type that holds
-        # d holds them all; numpy's stable sort of an 8- or 16-bit key is a
-        # radix sort, and it keeps the ascending ids within a distance.
-        distances = distances.take(near).astype(np.min_scalar_type(d))
-        order = distances.argsort(kind="stable")
-        return Matches(at.take(near.take(order)), distances.take(order))
+        return Matches._within(at, lane_distances(query, codes, lanes),
+                               self._params.max_distance)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FastSSIndex)

@@ -77,6 +77,24 @@ class HalfTag(IntEnum):
     SUFFIX = 0x3C6EF372
 
 
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text`` as a read-only little-endian ``uint32``
+    array. Raises TypeError for anything but a ``str``, and
+    UnicodeEncodeError for one with a lone surrogate."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected str, not {type(text).__name__}")
+    return np.frombuffer(text.encode("utf-32-le"), "<u4")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array``, which the caller owns and hands over, after
+    clearing its writeable flag: numpy refuses to set the flag again on a
+    view of a read-only array, so only code that walks ``.base`` to the
+    owner can write to it."""
+    array.flags.writeable = False
+    return array.view()
+
+
 def full_neighborhood(word: str, max_deletions: int) -> set[str]:
     """All distinct residuals reachable with at most ``max_deletions``
     deletions, the word itself included.
@@ -98,9 +116,10 @@ def full_neighborhood(word: str, max_deletions: int) -> set[str]:
 def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     """Keys of the full deletion neighborhood of ``word``: exactly the
     keys of ``full_neighborhood(word, max_deletions)`` under ``tag``, as
-    the module docstring defines them. Deterministic. Raises
-    UnicodeEncodeError for a word with a lone surrogate, and ValueError
-    for one whose plan would take more than 2**28 bytes.
+    the module docstring defines them. Deterministic. Raises TypeError for
+    a word that is not a ``str``, UnicodeEncodeError for one with a lone
+    surrogate, and ValueError for one whose plan would take more than 2**28
+    bytes.
 
     The one-part case of ``_residual_plan``: one product of the word's code
     points. Distinct sets of deleted positions can leave equal residuals,
@@ -108,7 +127,7 @@ def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     """
     if max_deletions < 0:
         raise ValueError("max_deletions must be non-negative")
-    chars = np.frombuffer(word.encode("utf-32-le"), "<u4")
+    chars = _code_points(word)
     weights, offsets = _residual_plan(len(word), ((0, len(word), max_deletions, tag),))
     return set((weights @ chars + offsets).tolist())
 
@@ -209,9 +228,10 @@ def _residual_plan(length: int, parts: tuple[Part, ...]) -> tuple[np.ndarray, np
     of ``parts`` of a string of ``length`` code points ``chars``, one row
     per state, the parts' states in order: ``_state_count(stop - start,
     max_deletions)`` rows each. ``W`` is ``uint32`` with one column per
-    character and ``c`` ``uint32``; both are read-only, as queries and
-    builds share the cached entries. A part's states are taken by deletion
-    count, each count's sets of kept positions in lexicographic order.
+    character and ``c`` ``uint32``; both are read-only views
+    (``_read_only``), as queries, builds and threads share the cached
+    entries. A part's states are taken by deletion count, each count's
+    sets of kept positions in lexicographic order.
     Raises ``_PlanTooLarge``, before allocating, for a plan of more than 2**28
     bytes. Only a miss runs this body, and it counts the bytes of the plans
     it caches: one that would take them past 2**28 clears the cache first.
@@ -248,5 +268,4 @@ def _residual_plan(length: int, parts: tuple[Part, ...]) -> tuple[np.ndarray, np
             weights[np.arange(row, row + count)[:, None], kept] = powers[1:width + 1]
             offsets[row:row + count] = (tag + sums[width]) & _MASK32
             row += count
-    weights.flags.writeable = offsets.flags.writeable = False
-    return weights, offsets
+    return _read_only(weights), _read_only(offsets)

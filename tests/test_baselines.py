@@ -1,11 +1,13 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from fastss.baselines import BKTree, NaiveScanner
 from fastss.distance import full_edit_distance
-from fastss.index import Dictionary, FastSSIndex, IndexParams, Match
+from fastss.index import Dictionary, FastSSIndex, IndexParams, Match, Matches
+from fastss.neighborhood import HalfTag, residual_keys
 from helpers import perturb_word, random_unique_words, random_word
 
 
@@ -127,11 +129,18 @@ def test_bk_results_equal_naive():
     dictionary = Dictionary(words)
     tree = BKTree.build(dictionary)
     scanner = NaiveScanner(dictionary)
+    indexes = [FastSSIndex.build(dictionary, IndexParams(d)) for d in range(4)]
     for _ in range(200):
         q = perturb_word(rng, rng.choice(words), rng.randint(0, 3))
         d = rng.randint(0, 3)
         matches, computations = tree.query(q, d)
         assert matches == scanner.scan(q, d)
+        # The same answer as search, in the same two arrays and dtypes.
+        assert isinstance(matches, Matches)
+        expected = indexes[d].search(q)
+        for got, want in [(matches.word_ids, expected.word_ids),
+                          (matches.distances, expected.distances)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want), (q, d)
         assert computations <= len(dictionary)
         assert computations >= 1
 
@@ -160,3 +169,5 @@ def test_baselines_reject_non_str_query(query):
         scanner.scan(query, 1)
     with pytest.raises(TypeError):
         BKTree.build(dictionary).query(query, 1)
+    with pytest.raises(TypeError):
+        residual_keys(query, 1, HalfTag.WHOLE)

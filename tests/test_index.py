@@ -414,17 +414,30 @@ def test_table_id_lists_sorted_unique():
 
 def test_posting_arrays_are_read_only():
     # Immutable after build, and after load: an in-place write to any of
-    # the three posting arrays raises instead of corrupting the index.
-    idx = FastSSIndex.build(Dictionary(["abc", "abd", "xyz"]), IndexParams(1))
+    # the three posting arrays, the dictionary's two or a cached plan's two
+    # raises instead of corrupting the index, and none of them can be made
+    # writable again.
+    d = Dictionary(["abc", "abd", "xyz"])
+    idx = FastSSIndex.build(d, IndexParams(1))
+    plan = _residual_plan(3, ((0, 3, 1, HalfTag.WHOLE),))
     for index in (idx, FastSSIndex.from_bytes(idx.to_bytes())):
-        for array in (index._keys, index._offsets, index._ids):
+        for array in (index.dictionary.codes, index.dictionary.starts,
+                      index._keys, index._offsets, index._ids, *plan):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
             with pytest.raises(ValueError):
                 array[0] = 0
             with pytest.raises(ValueError):
                 array += 1
             with pytest.raises(ValueError):
                 array.sort()
-    assert idx.search("abc") == [Match(0, 0), Match(1, 1)]
+    # After the refused flips, the write that would turn "abc" into "qbc"
+    # under the index, and so set it against the scan of its own
+    # dictionary, still raises.
+    with pytest.raises(ValueError):
+        d.codes[0] = ord("q")
+    assert d[0] == "abc"
+    assert idx.search("abc") == NaiveScanner(d).scan("abc", 1) == [Match(0, 0), Match(1, 1)]
 
 
 def test_candidates_contain_exact_word():

@@ -3,6 +3,7 @@ import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 import fastss.neighborhood
@@ -11,6 +12,7 @@ from fastss.distance import full_edit_distance
 from fastss.index import Dictionary, FastSSIndex, IndexParams
 from fastss.neighborhood import (
     HalfTag,
+    _code_points,
     _residual_plan,
     _state_count,
     full_neighborhood,
@@ -147,6 +149,10 @@ def test_hash_residual_deterministic_and_tagged():
 def test_hash_residual_code_points():
     # Each character is one term by its code point, whatever its UTF-8
     # length; format version 4 and earlier hashed the UTF-8 bytes instead.
+    # Every layer reads a str's code points as little-endian uint32.
+    text = "a\U0001F600é"
+    assert _code_points(text).tolist() == [ord(c) for c in text]
+    assert _code_points(text).dtype == np.dtype("<u4")
     assert residual_keys("ü", 0, HalfTag.WHOLE) != residual_keys("u", 0, HalfTag.WHOLE)
     assert residual_keys("ü", 0, HalfTag.WHOLE) != {polynomial_key(HalfTag.WHOLE, "\xc3\xbc")}
     for word in ("ü", "münchen", "\U0001D11E", "\U0010FFFF" * 3):  # 4 bytes in UTF-8
