@@ -165,6 +165,9 @@ def compare_baselines(dictionary: Dictionary, max_distance: int, workload: Workl
     unsplit index, and an index split at the rounded mean word length. All
     four must agree on every query; the scan's answers are the reference."""
     d = max_distance
+    # Made first, so that a d the index cannot hold is refused before the
+    # baselines run the whole workload.
+    params = [IndexParams(d, m) for m in (None, max(1, round(dictionary.mean_length())))]
     naive, reference = _measure(
         "naive", lambda: NaiveScanner(dictionary),
         lambda scanner, query: (scanner.scan(query, d), len(dictionary)),
@@ -172,10 +175,8 @@ def compare_baselines(dictionary: Dictionary, max_distance: int, workload: Workl
     bktree, _ = _measure("bktree", lambda: BKTree.build(dictionary),
                          lambda tree, query: tree.query(query, d),
                          dictionary, workload, d=d, dataset=dataset, reference=reference)
-    split_at = max(1, round(dictionary.mean_length()))
-    return [naive, bktree] + [
-        run_benchmark(dictionary, IndexParams(d, m), workload, dataset, reference)
-        for m in (None, split_at)]
+    return [naive, bktree] + [run_benchmark(dictionary, p, workload, dataset, reference)
+                              for p in params]
 
 
 def _index_answer(index: FastSSIndex, query: str) -> tuple[Matches, int]:

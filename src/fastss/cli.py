@@ -44,7 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an index file from a word list")
     p.add_argument("--dict", required=True, help="word list, one word per line")
     p.add_argument("--d", type=int, required=True, help="maximum edit distance")
-    _add_split_options(p, required=True)
+    split = p.add_mutually_exclusive_group(required=True)
+    split.add_argument("--m", type=int, help="split words longer than this")
+    split.add_argument("--no-split", action="store_true", help="index whole words only")
     p.add_argument("--out", required=True, help="output index file")
     p.set_defaults(handler=_cmd_build)
 
@@ -62,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[workload],
                        help="benchmark the index on perturbed queries")
-    _add_split_options(p, required=False)
+    p.add_argument("--m", type=int, help="split words longer than this (default: never)")
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("compare", parents=[workload],
@@ -79,13 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_expect)
 
     return parser
-
-
-def _add_split_options(parser: argparse.ArgumentParser, required: bool) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument("--m", type=int, help="split words longer than this")
-    group.add_argument("--no-split", action="store_true",
-                       help="index whole words only")
 
 
 def _cmd_build(args) -> int:

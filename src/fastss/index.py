@@ -146,9 +146,12 @@ class IndexParams:
 
     ``max_distance`` is the largest edit distance queries can ask for.
     ``split_threshold`` is the word length above which entries are split
-    (None: never split); a finite threshold must be positive, since a
-    split word needs two characters. ``word_parts`` and ``query_parts``
-    are the parts (``Part`` tuples) a word stores and a query probes.
+    (None: never split). Both admit exactly what the file's header holds,
+    so that every index that builds can be saved: d in 0..255, a u8, and a
+    finite m in 1..0xFFFFFFFE, a u32 less ``UNBOUNDED_SENTINEL`` (m = 0 is
+    out: a split word needs two characters). ``word_parts`` and
+    ``query_parts`` are the parts (``Part`` tuples) a word stores and a
+    query probes.
     """
 
     max_distance: int
@@ -161,19 +164,20 @@ class IndexParams:
         if isinstance(m, bool) or not isinstance(m, (int, type(None))):
             raise TypeError(f"split_threshold must be an int or None, "
                             f"not {type(m).__name__}")
-        if d < 0:
-            raise ValueError("max_distance must be non-negative")
-        if m is not None and m < 1:
-            raise ValueError("split_threshold must be positive")
+        if not 0 <= d <= 0xFF:
+            raise ValueError(f"max_distance must be in 0..255 (u8), not {d}")
+        if m is not None and not 0 < m < UNBOUNDED_SENTINEL:
+            raise ValueError(f"split_threshold must be None or in "
+                             f"1..{UNBOUNDED_SENTINEL - 1} (u32), not {m}")
 
     def word_parts(self, length: int) -> list[Part]:
         """The parts a word of ``length`` characters stores: the whole word
-        with d deletions, or above m the halves ``split_word`` cuts, with
-        floor(d/2) each."""
+        with d deletions, or above m its halves at the cut of
+        ``split_positions(length, 0)``, with floor(d/2) each."""
         d, m = self.max_distance, self.split_threshold
         if m is None or length <= m:
             return [(0, length, d, HalfTag.WHOLE)]
-        cut = (length + 1) // 2  # as in split_word
+        cut, = split_positions(length, 0)
         return [(0, cut, d // 2, HalfTag.PREFIX), (cut, length, d // 2, HalfTag.SUFFIX)]
 
     def query_parts(self, length: int) -> list[Part]:
@@ -205,9 +209,10 @@ class Match(NamedTuple):
 class Matches:
     """The answer of ``FastSSIndex.search`` and ``BKTree.query``:
     ``word_ids``, an ``intp`` array, and ``distances``, the narrowest
-    unsigned dtype that holds the d asked for, sorted by (distance, word
-    id). Both arrays are the answer's own, writable and complete when the
-    search returns; every searcher builds it with ``_within``.
+    unsigned dtype that holds the d asked for (``uint8`` for ``search``,
+    whose d fits a byte), sorted by (distance, word id). Both arrays are
+    the answer's own, writable and complete when the search returns; every
+    searcher builds it with ``_within``.
 
     It reads as a sequence of plain ``(word_id, distance)`` pairs of ints:
     iterating converts both arrays with one ``tolist`` each, an int index
@@ -226,7 +231,10 @@ class Matches:
     def _within(cls, ids: np.ndarray, distances: np.ndarray, max_distance: int) -> "Matches":
         """The answer of every searcher: of the ascending ``ids`` and their
         ``distances``, the ones within ``max_distance``, in fresh arrays,
-        sorted by (distance, word id)."""
+        sorted by (distance, word id). Raises ValueError for a negative
+        ``max_distance``, which no distance is within."""
+        if max_distance < 0:
+            raise ValueError("max_distance must be non-negative")
         near = np.flatnonzero(distances <= max_distance)
         # Every distance left is at most d, so the narrowest type that holds
         # d holds them all; numpy's stable sort of an 8- or 16-bit key is a
@@ -261,18 +269,21 @@ class Matches:
 
 
 def split_word(word: str) -> tuple[str, str]:
-    """Split into (first ceil(len/2) characters, remainder). The halves
-    differ in length by at most one, longer half first."""
+    """Split at the build's cut, ``split_positions(len(word), 0)``, into
+    (first ceil(len/2) characters, remainder). The halves differ in length
+    by at most one, longer half first."""
     if len(word) < 2:
         raise ValueError("cannot split a word shorter than 2 characters")
-    cut = (len(word) + 1) // 2
+    cut, = split_positions(len(word), 0)
     return word[:cut], word[cut:]
 
 
 def split_positions(length: int, max_distance: int) -> list[int]:
     """Query split positions to probe: all cut points within
     ceil(length/2) +/- ceil(max_distance/2), clamped to 0..length. A cut
-    at either end probes an empty part.
+    at either end probes an empty part. At d = 0 the window is the one
+    cut ceil(length/2) where the build splits a word: this function is the
+    only place that computes it.
 
     Why this window loses no match. Let a word w of length n be split at
     c = ceil(n/2) and let a query q be within e <= d edits of w. An optimal
@@ -412,19 +423,15 @@ class FastSSIndex:
 
     def to_bytes(self) -> bytes:
         d, m = self._params.max_distance, self._params.split_threshold
-        if d > 0xFF:
-            raise ValueError("max_distance does not fit the file format (u8)")
-        if m is not None and m >= UNBOUNDED_SENTINEL:
-            raise ValueError("split_threshold does not fit the file format (u32)")
         words = _decode(self._dictionary.codes[:-1]).encode("utf-8")
-        m = UNBOUNDED_SENTINEL if m is None else m
+        m = UNBOUNDED_SENTINEL if m is None else m  # IndexParams keeps d and m in range
         return _HEADER.pack(_MAGIC, _VERSION, d, m, len(words)) + words
 
     @classmethod
     def from_bytes(cls, data) -> "FastSSIndex":
-        """The index that ``to_bytes`` wrote to ``data``, any bytes-like
-        object, built again from its words. Raises ``IndexFormatError``,
-        naming a byte, for a bad magic or version, a length other than the
+        """The index that ``to_bytes`` wrote to ``data``, any C-contiguous
+        bytes-like object, built again from its words. Raises
+        ``IndexFormatError``, naming a byte, for a bad magic or version, a length other than the
         header's, words that are not UTF-8 or not a valid ``Dictionary``,
         or parameters that are invalid or whose build the words refuse."""
         view = memoryview(data).cast("B")
@@ -453,7 +460,7 @@ class FastSSIndex:
                 f"invalid dictionary in the words at byte {_HEADER.size}: {exc}") from exc
         try:
             return cls.build(dictionary, IndexParams(d, None if m == UNBOUNDED_SENTINEL else m))
-        except ValueError as exc:  # m = 0 is the only threshold IndexParams refuses
+        except ValueError as exc:  # of the header's values, IndexParams refuses only m = 0
             raise IndexFormatError(f"invalid parameters in header at byte "
                                    f"{7 if m == 0 else 6}: {exc}") from exc
 

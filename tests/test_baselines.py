@@ -158,6 +158,16 @@ def test_bk_pruning_soundness_exhaustive():
             assert matches == scanner.scan(q, d), (q, d)
 
 
+def test_baselines_reject_a_negative_distance():
+    # No distance is within d < 0. The scan used to compute every distance
+    # and return [], and the BK-tree answered with int8 distances.
+    dictionary = Dictionary(["ab", "ba", "abc"])
+    with pytest.raises(ValueError, match="max_distance"):
+        NaiveScanner(dictionary).scan("ab", -1)
+    with pytest.raises(ValueError, match="max_distance"):
+        BKTree.build(dictionary).query("ab", -1)
+
+
 @pytest.mark.parametrize("query", [b"ab", ("a", "b"), ["a", "b"], 5, None],
                          ids=["bytes", "tuple", "list", "int", "None"])
 def test_baselines_reject_non_str_query(query):

@@ -174,6 +174,21 @@ def test_compare_baselines_scans_each_query_once(small_dictionary, monkeypatch):
     assert calls == list(workload.queries)
 
 
+def test_compare_baselines_refuses_a_distance_beyond_a_byte_first(small_dictionary,
+                                                                  monkeypatch):
+    # An index holds d in one byte; at d = 256 the scan and the BK-tree used
+    # to answer the whole workload before the index refused it.
+    from fastss import baselines
+
+    def fail(*args):
+        raise AssertionError("a baseline ran")
+
+    monkeypatch.setattr(baselines.NaiveScanner, "scan", fail)
+    monkeypatch.setattr(baselines.BKTree, "query", fail)
+    with pytest.raises(ValueError, match="max_distance"):
+        compare_baselines(small_dictionary, 256, perturb(small_dictionary, 3, 2, seed=11))
+
+
 def test_csv_schema(tmp_path, small_dictionary):
     workload = perturb(small_dictionary, 10, 1, seed=8)
     reports = compare_baselines(small_dictionary, 1, workload, dataset="unit")

@@ -53,6 +53,13 @@ def test_build_requires_split_choice(tmp_path, dict_file):
     assert exc.value.code == 2
 
 
+def test_only_build_takes_no_split(dict_file):
+    # bench never splits unless given --m, so --no-split belongs to build.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--dict", str(dict_file), "--d", "1", "--no-split"])
+    assert exc.value.code == 2
+
+
 def test_build_rejects_bad_threshold(tmp_path, dict_file, capsys):
     code = main(["build", "--dict", str(dict_file), "--d", "3", "--m", "0",
                  "--out", str(tmp_path / "x.fssi")])

@@ -8,7 +8,7 @@ import pytest
 
 import fastss.index
 import fastss.neighborhood
-from fastss.baselines import NaiveScanner
+from fastss.baselines import BKTree, NaiveScanner
 from fastss.bench import bundled_words_path, load_dictionary, perturb
 from fastss.distance import full_edit_distance, lane_distances
 from fastss.index import (
@@ -511,16 +511,17 @@ def test_losslessness_against_naive():
 
 
 def test_search_beyond_a_byte_of_distance_equals_scan():
-    # Past d = 255 the match distances are sorted as uint16; every word of
-    # 2 to 4 characters is within d of a 3-character query.
+    # Past d = 255 the match distances are sorted as uint16. An index holds
+    # d in a byte, so only the scan and the BK-tree reach that path; every
+    # word of 2 to 4 characters is within d of a 3-character query.
     words = ["ab", "ba", "abc", "cab", "bcad", "dcba", "aaaa", "cc"]
     dictionary = Dictionary(words)
-    scanner = NaiveScanner(dictionary)
-    idx = FastSSIndex.build(dictionary, IndexParams(300))
+    scanner, tree = NaiveScanner(dictionary), BKTree.build(dictionary)
     for q in ["abc", "cba", "zzz", "aab", "dcb"]:
-        matches = idx.search(q)
+        matches = tree.query(q, 300)[0]
+        assert matches.distances.dtype == np.uint16, q
         assert len(matches) == len(words)
-        assert matches == scanner.scan(q, 300), q
+        assert matches == scanner.scan(q, 300) == naive(dictionary, q, 300), q
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
