@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf
+
+from .neighborhood import _int_in
 
 __all__ = ["CollisionModel", "expected_candidates", "markov_bound"]
 
@@ -21,7 +23,9 @@ __all__ = ["CollisionModel", "expected_candidates", "markov_bound"]
 class CollisionModel:
     """Uniform random dictionary: ``dictionary_size`` words of exactly
     ``word_length`` characters over ``alphabet_size`` letters, queried at
-    ``max_distance``."""
+    ``max_distance``. Each field is an int, not a bool: d in
+    0..word_length, at least one letter, and otherwise at least 0
+    (``_int_in`` raises TypeError or ValueError naming the field)."""
 
     dictionary_size: int
     word_length: int
@@ -29,12 +33,10 @@ class CollisionModel:
     alphabet_size: int
 
     def __post_init__(self):
-        if self.dictionary_size < 0:
-            raise ValueError("dictionary_size must be non-negative")
-        if not 0 <= self.max_distance <= self.word_length:
-            raise ValueError("max_distance must lie in [0, word_length]")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be positive")
+        _int_in(self.dictionary_size, "dictionary_size", 0)
+        _int_in(self.word_length, "word_length", 0)
+        _int_in(self.max_distance, "max_distance", 0, self.word_length)
+        _int_in(self.alphabet_size, "alphabet_size", 1)
 
 
 def _collision_rate(model: CollisionModel) -> Fraction:
@@ -52,8 +54,12 @@ def expected_candidates(model: CollisionModel) -> float:
 
 def markov_bound(model: CollisionModel, speedup: float) -> float:
     """Upper bound on the probability that a query collides with at least
-    dictionary_size / speedup residuals, i.e. that the filter speeds up a
-    scan by less than ``speedup``."""
-    if speedup <= 0:
-        raise ValueError("speedup must be positive")
-    return float(_collision_rate(model) / Fraction(speedup))
+    n / c residuals, n = dictionary_size and c = ``speedup``, i.e. that
+    the filter speeds up a scan by less than c. By Markov's inequality it
+    is E * c / n, the expectation times c / n: the collision rate per
+    word times c, which grows with c and exceeds 1 (says nothing) once
+    n / c falls to E. Raises ValueError for a ``speedup`` that is not a
+    positive finite number."""
+    if not 0 < speedup < inf:
+        raise ValueError(f"speedup must be a positive finite number, not {speedup}")
+    return float(_collision_rate(model) * Fraction(speedup))

@@ -70,7 +70,8 @@ class NaiveScanner:
 
     def scan(self, query: str, max_distance: int) -> list[Match]:
         """All words within ``max_distance``, sorted by (distance, id), as a
-        list of ``Match``. Raises ValueError for a negative ``max_distance``."""
+        list of ``Match``. Raises TypeError or ValueError for a
+        ``max_distance`` that is not an int of at least 0."""
         dists = self.distances(query)
         matches = Matches._within(np.arange(len(dists)), dists, max_distance)
         return list(map(Match, matches.word_ids.tolist(), matches.distances.tolist()))
@@ -108,8 +109,8 @@ class BKTree:
         ``FastSSIndex.search`` gives them, number of nodes visited). Each
         visit computes one distance, so the count is the traversal's
         search-space size, comparable to a candidate-set size. Raises
-        TypeError for a query that is not a ``str``, and ValueError for a
-        negative ``max_distance``."""
+        TypeError for a query that is not a ``str``, and TypeError or
+        ValueError for a ``max_distance`` that is not an int of at least 0."""
         if not isinstance(query, str):
             raise TypeError(f"query must be str, not {type(query).__name__}")
         visited = {}  # node: its distance to the query

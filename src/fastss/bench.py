@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .baselines import BKTree, NaiveScanner
 from .index import Dictionary, FastSSIndex, IndexParams, Match, Matches
+from .neighborhood import _int_in
 
 __all__ = [
     "Workload",
@@ -117,12 +118,13 @@ def perturb(dictionary: Dictionary, count: int, max_errors: int, seed: int) -> W
     """Draw ``count`` dictionary entries uniformly with replacement and
     distort each with k ~ uniform{0..max_errors} random edits: insert,
     delete or substitute at a uniform position, inserted and substituted
-    characters uniform over a-z. Same seed, same workload."""
+    characters uniform over a-z. Same seed, same workload. Raises
+    ValueError for an empty dictionary, and TypeError or ValueError for a
+    ``count`` or ``max_errors`` that is not an int of at least 0."""
     if len(dictionary) == 0:
         raise ValueError("cannot perturb an empty dictionary")
-    if count < 0 or max_errors < 0:
-        raise ValueError(f"count ({count}) and max_errors ({max_errors}) "
-                         "must be non-negative")
+    _int_in(count, "count", 0)
+    _int_in(max_errors, "max_errors", 0)
     rng = random.Random(seed)
     queries = []
     for _ in range(count):

@@ -21,6 +21,7 @@ from .bench import (
     write_csv,
 )
 from .index import FastSSIndex, IndexParams
+from .neighborhood import _int_in
 
 __all__ = ["main"]
 
@@ -121,8 +122,7 @@ def _cmd_compare(args) -> int:
 
 
 def _workload(args):
-    if args.queries < 1:
-        raise ValueError(f"--queries must be at least 1, not {args.queries}")
+    _int_in(args.queries, "--queries", 1)
     dictionary = load_dictionary(args.dict)
     return dictionary, perturb(dictionary, args.queries, args.d, args.seed)
 

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .distance import lane_distances
-from .neighborhood import (HalfTag, Part, _code_points, _PlanTooLarge, _read_only,
+from .neighborhood import (HalfTag, Part, _code_points, _int_in, _PlanTooLarge, _read_only,
                            _residual_plan, _run_starts, residual_key_pairs)
 
 __all__ = [
@@ -149,7 +149,9 @@ class IndexParams:
     (None: never split). Both admit exactly what the file's header holds,
     so that every index that builds can be saved: d in 0..255, a u8, and a
     finite m in 1..0xFFFFFFFE, a u32 less ``UNBOUNDED_SENTINEL`` (m = 0 is
-    out: a split word needs two characters). ``word_parts`` and
+    out: a split word needs two characters), and each must be an ``int``,
+    not a ``bool``: ``_int_in`` raises TypeError or ValueError naming the
+    field and its width otherwise. ``word_parts`` and
     ``query_parts`` are the parts (``Part`` tuples) a word stores and a
     query probes.
     """
@@ -158,17 +160,9 @@ class IndexParams:
     split_threshold: int | None = None
 
     def __post_init__(self):
-        d, m = self.max_distance, self.split_threshold
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise TypeError(f"max_distance must be an int, not {type(d).__name__}")
-        if isinstance(m, bool) or not isinstance(m, (int, type(None))):
-            raise TypeError(f"split_threshold must be an int or None, "
-                            f"not {type(m).__name__}")
-        if not 0 <= d <= 0xFF:
-            raise ValueError(f"max_distance must be in 0..255 (u8), not {d}")
-        if m is not None and not 0 < m < UNBOUNDED_SENTINEL:
-            raise ValueError(f"split_threshold must be None or in "
-                             f"1..{UNBOUNDED_SENTINEL - 1} (u32), not {m}")
+        _int_in(self.max_distance, "max_distance (u8)", 0, 0xFF)
+        if self.split_threshold is not None:
+            _int_in(self.split_threshold, "split_threshold (u32)", 1, UNBOUNDED_SENTINEL - 1)
 
     def word_parts(self, length: int) -> list[Part]:
         """The parts a word of ``length`` characters stores: the whole word
@@ -231,11 +225,11 @@ class Matches:
     def _within(cls, ids: np.ndarray, distances: np.ndarray, max_distance: int) -> "Matches":
         """The answer of every searcher: of the ascending ``ids`` and their
         ``distances``, the ones within ``max_distance``, in fresh arrays,
-        sorted by (distance, word id). Raises ValueError for a negative
-        ``max_distance``, which no distance is within."""
-        if max_distance < 0:
-            raise ValueError("max_distance must be non-negative")
-        near = np.flatnonzero(distances <= max_distance)
+        sorted by (distance, word id). Raises TypeError or ValueError for a
+        ``max_distance`` that is not an int of at least 0 (``_int_in``): a
+        ``bool`` or ``float`` d would set the distances' dtype, and no
+        distance is within a negative one."""
+        near = np.flatnonzero(distances <= _int_in(max_distance, "max_distance", 0))
         # Every distance left is at most d, so the narrowest type that holds
         # d holds them all; numpy's stable sort of an 8- or 16-bit key is a
         # radix sort, and it keeps the ascending ids within a distance.

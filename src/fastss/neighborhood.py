@@ -86,6 +86,19 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le"), "<u4")
 
 
+def _int_in(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` if it is an ``int``, not a ``bool``, in ``low..high``
+    (``high`` None: no upper end). Otherwise raises TypeError or
+    ValueError naming the parameter ``name``. Every count, distance and
+    size a caller hands the library passes through here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < low or high is not None and value > high:
+        span = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {span}, not {value}")
+    return value
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A view of ``array``, which the caller owns and hands over, after
     clearing its writeable flag: numpy refuses to set the flag again on a
@@ -101,13 +114,13 @@ def full_neighborhood(word: str, max_deletions: int) -> set[str]:
 
     Built one deletion level at a time: every residual with k + 1
     deletions is a residual with k deletions minus one more character, and
-    duplicates collapse before the next level expands them.
+    duplicates collapse before the next level expands them. Raises
+    TypeError or ValueError for a ``max_deletions`` that is not an int
+    of at least 0.
     """
-    if max_deletions < 0:
-        raise ValueError("max_deletions must be non-negative")
     level = {word}
     out = set(level)
-    for _ in range(min(max_deletions, len(word))):
+    for _ in range(min(_int_in(max_deletions, "max_deletions", 0), len(word))):
         level = {r[:i] + r[i + 1:] for r in level for i in range(len(r))}
         out |= level
     return out
@@ -118,17 +131,17 @@ def residual_keys(word: str, max_deletions: int, tag: HalfTag) -> set[int]:
     keys of ``full_neighborhood(word, max_deletions)`` under ``tag``, as
     the module docstring defines them. Deterministic. Raises TypeError for
     a word that is not a ``str``, UnicodeEncodeError for one with a lone
-    surrogate, and ValueError for one whose plan would take more than 2**28
-    bytes.
+    surrogate, ValueError for one whose plan would take more than 2**28
+    bytes, and TypeError or ValueError for a ``max_deletions`` that is not
+    an int of at least 0.
 
     The one-part case of ``_residual_plan``: one product of the word's code
     points. Distinct sets of deleted positions can leave equal residuals,
     whose equal keys the set collapses.
     """
-    if max_deletions < 0:
-        raise ValueError("max_deletions must be non-negative")
     chars = _code_points(word)
-    weights, offsets = _residual_plan(len(word), ((0, len(word), max_deletions, tag),))
+    part = (0, len(word), _int_in(max_deletions, "max_deletions", 0), tag)
+    weights, offsets = _residual_plan(len(word), (part,))
     return set((weights @ chars + offsets).tolist())
 
 

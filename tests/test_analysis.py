@@ -19,6 +19,10 @@ def test_model_validation():
         CollisionModel(10, 8, -1, 26)
     with pytest.raises(ValueError):
         CollisionModel(10, 8, 2, 0)
+    for args, field in [((10.5, 8, 2, 26), "dictionary_size"), ((10, 8.0, 2, 26), "word_length"),
+                        ((10, 8, True, 26), "max_distance"), ((10, 8, 2, 26.0), "alphabet_size")]:
+        with pytest.raises(TypeError, match=field):
+            CollisionModel(*args)
 
 
 def test_expected_candidates_closed_forms():
@@ -46,10 +50,12 @@ def test_expected_survives_huge_exponents():
 def test_markov_bound_basics():
     assert markov_bound(CollisionModel(10, 5, 5, 26), 1) == 1.0  # vacuous
     m = CollisionModel(10_000, 8, 2, 26)
-    assert markov_bound(m, 10) == pytest.approx(784 / (10 * 26**6), rel=1e-12)
-    assert markov_bound(m, 20) == pytest.approx(markov_bound(m, 10) / 2, rel=1e-12)
-    with pytest.raises(ValueError):
-        markov_bound(m, 0)
+    # P[X >= n/c] <= E[X] * c / n = c * C(8,2)^2 / 26^6: it grows with c.
+    assert markov_bound(m, 10) == pytest.approx(784 * 10 / 26**6, rel=1e-12)
+    assert markov_bound(m, 20) == pytest.approx(markov_bound(m, 10) * 2, rel=1e-12)
+    for c in (0, -1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="speedup"):
+            markov_bound(m, c)
 
 
 def test_expected_equals_n_times_markov_at_one():
@@ -75,6 +81,8 @@ def test_observed_candidates_below_expectation():
     n, length, d, sigma = 1500, 6, 2, 26
     words = random_unique_words(rng, n, length, length)
     idx = FastSSIndex.build(Dictionary(words), IndexParams(d))
-    total = sum(len(idx.candidates(random_word(rng, length, length)))
-                for _ in range(300))
-    assert total / 300 <= expected_candidates(CollisionModel(n, length, d, sigma))
+    counts = [len(idx.candidates(random_word(rng, length, length))) for _ in range(300)]
+    model = CollisionModel(n, length, d, sigma)
+    assert sum(counts) / 300 <= expected_candidates(model)
+    # Markov's tail at c = n: the share of queries with a candidate at all.
+    assert sum(map(bool, counts)) / 300 <= markov_bound(model, n)

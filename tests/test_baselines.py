@@ -160,12 +160,18 @@ def test_bk_pruning_soundness_exhaustive():
 
 def test_baselines_reject_a_negative_distance():
     # No distance is within d < 0. The scan used to compute every distance
-    # and return [], and the BK-tree answered with int8 distances.
+    # and return [], and the BK-tree answered with int8 distances. A bool
+    # or float d is no int: both answered in bool or float16 distances.
     dictionary = Dictionary(["ab", "ba", "abc"])
     with pytest.raises(ValueError, match="max_distance"):
         NaiveScanner(dictionary).scan("ab", -1)
     with pytest.raises(ValueError, match="max_distance"):
         BKTree.build(dictionary).query("ab", -1)
+    for d in (True, 1.5):
+        with pytest.raises(TypeError, match="max_distance"):
+            NaiveScanner(dictionary).scan("ab", d)
+        with pytest.raises(TypeError, match="max_distance"):
+            BKTree.build(dictionary).query("ab", d)
 
 
 @pytest.mark.parametrize("query", [b"ab", ("a", "b"), ["a", "b"], 5, None],

@@ -109,6 +109,10 @@ def test_perturb_rejects_empty_dictionary():
 def test_perturb_rejects_negative_count(small_dictionary):
     with pytest.raises(ValueError, match="count"):
         perturb(small_dictionary, -1, 2, seed=0)
+    with pytest.raises(TypeError, match="count"):
+        perturb(small_dictionary, True, 2, seed=0)
+    with pytest.raises(TypeError, match="max_errors"):
+        perturb(small_dictionary, 3, 1.0, seed=0)
     assert len(perturb(small_dictionary, 0, 2, seed=0)) == 0
 
 

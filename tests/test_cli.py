@@ -123,6 +123,17 @@ def test_expect_matches_library(capsys):
         markov_bound(model, 10), rel=1e-12)
 
 
+@pytest.mark.parametrize("c", ["inf", "nan", "0"])
+def test_expect_refuses_a_speedup_that_is_not_positive_finite(c, capsys):
+    # Fraction(inf) raises OverflowError, which main does not catch, so
+    # markov_bound itself refuses a speedup that is not positive and finite.
+    assert main(["expect", "--n", "10", "--len", "5", "--d", "2",
+                 "--sigma", "26", "--c", c]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "speedup" in captured.err
+    assert "Traceback" not in captured.err and captured.out.startswith("expected_candidates")
+
+
 def test_module_entry_point(tmp_path, dict_file):
     # The subprocess imports the package these tests import, installed or not.
     source = str(Path(fastss.__file__).resolve().parents[1])

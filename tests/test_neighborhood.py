@@ -68,6 +68,9 @@ def test_deletion_neighborhood_edges():
     assert full_neighborhood("abc", 4) == full_neighborhood("abc", 3)
     with pytest.raises(ValueError):
         full_neighborhood("abc", -1)
+    for budget in (True, 1.5):
+        with pytest.raises(TypeError, match="max_deletions"):
+            full_neighborhood("abc", budget)
 
 
 def test_full_neighborhood_examples():
@@ -167,6 +170,9 @@ def test_residual_keys_rejects_negative_budget():
     for word in ("", "abc"):
         with pytest.raises(ValueError):
             residual_keys(word, -1, HalfTag.WHOLE)
+        for budget in (True, 1.5):
+            with pytest.raises(TypeError, match="max_deletions"):
+                residual_keys(word, budget, HalfTag.WHOLE)
 
 
 def test_residual_keys_match_hashed_neighborhood():
